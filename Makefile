@@ -4,9 +4,9 @@ GO ?= go
 	loadgen loadgen-chaos loadgen-smoke docs-check fuzz-smoke \
 	deviation-matrix deviation-matrix-short cover-gate \
 	crash-bench crash-smoke ws-smoke loadgen-ws chaos-bench chaos-smoke \
-	batch-bench batch-smoke dist-bench dist-smoke obs-bench obs-smoke clean
+	batch-bench batch-smoke dist-bench dist-smoke obs-bench obs-smoke layer-check clean
 
-ci: fmt vet build test race bench-smoke loadgen-smoke crash-smoke \
+ci: fmt vet build layer-check test race bench-smoke loadgen-smoke crash-smoke \
 	ws-smoke chaos-smoke batch-smoke dist-smoke obs-smoke docs-check fuzz-smoke deviation-matrix-short cover-gate
 
 fmt:
@@ -27,6 +27,25 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Package layering, checked on the transitive import graph (go list
+# -deps): the authority core stays below the hosting layers (store, hub,
+# wire, faults, metrics) and the deviation catalog that plugs into it;
+# the obs, prng and punish leaves import nothing from this module; and
+# Byzantine agreement (bap) stays below the core it serves.
+CORE_FORBIDDEN = store|hub|wire|faults|metrics|deviate
+layer-check:
+	@fail=0; \
+	bad=$$($(GO) list -deps ./internal/core | grep -E '^gameauthority/internal/($(CORE_FORBIDDEN))$$'); \
+	if [ -n "$$bad" ]; then echo "layer-check: internal/core imports" $$bad; fail=1; fi; \
+	for p in obs prng punish; do \
+		bad=$$($(GO) list -deps ./internal/$$p | grep '^gameauthority' | grep -vx "gameauthority/internal/$$p"); \
+		if [ -n "$$bad" ]; then echo "layer-check: internal/$$p imports" $$bad; fail=1; fi; \
+	done; \
+	bad=$$($(GO) list -deps ./internal/bap | grep -x 'gameauthority/internal/core'); \
+	if [ -n "$$bad" ]; then echo "layer-check: internal/bap imports" $$bad; fail=1; fi; \
+	if [ $$fail -ne 0 ]; then exit 1; fi; \
+	echo "layer-check: package layering holds"
 
 # One iteration per benchmark: a bit-rot smoke, not a measurement. CI runs
 # this — it fails on build/bench errors, never on timing noise.

@@ -65,8 +65,11 @@ func TestAuthorityShardedStress(t *testing.T) {
 					}
 				case errors.Is(err, ErrSessionExists):
 					// Lost the race; play whoever holds the ID instead.
+					// The winner may Remove (and so Close) the session
+					// between this Get and Play: ErrClosed is that race's
+					// documented result, like a lost Get.
 					if h, err := a.Get(id); err == nil {
-						if _, err := h.Play(ctx); err != nil {
+						if _, err := h.Play(ctx); err != nil && !errors.Is(err, ErrClosed) {
 							report(fmt.Errorf("play loser %s: %w", id, err))
 						}
 					}

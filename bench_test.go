@@ -10,6 +10,7 @@
 package gameauthority_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -34,28 +35,23 @@ func BenchmarkEF1MatchingPennies(b *testing.B) {
 	var gainUnsup, gainSup float64
 	for i := 0; i < b.N; i++ {
 		manip := &ga.MixedAgent{Override: func(int, int) int { return ga.ManipulateAction }}
-		unsup, err := ga.NewMixedSession(ga.MixedConfig{
-			Elected: ga.MatchingPennies(), Actual: ga.MatchingPenniesManipulated(),
-			Strategies: strategies, Agents: []*ga.MixedAgent{nil, manip},
-			Mode: ga.AuditOff, Seed: uint64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
+		play := func(opts ...ga.Option) *ga.MixedSession {
+			opts = append([]ga.Option{
+				ga.WithActual(ga.MatchingPenniesManipulated()),
+				ga.WithStrategies(strategies), ga.WithMixedAgents(nil, manip),
+				ga.WithSeed(uint64(i)),
+			}, opts...)
+			s, err := ga.New(ga.MatchingPennies(), opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.Run(context.Background(), rounds); err != nil {
+				b.Fatal(err)
+			}
+			return ga.AsMixed(s)
 		}
-		if err := unsup.Play(rounds); err != nil {
-			b.Fatal(err)
-		}
-		sup, err := ga.NewMixedSession(ga.MixedConfig{
-			Elected: ga.MatchingPennies(), Actual: ga.MatchingPenniesManipulated(),
-			Strategies: strategies, Agents: []*ga.MixedAgent{nil, manip},
-			Scheme: ga.NewDisconnectScheme(2, 0), Mode: ga.AuditPerRound, Seed: uint64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sup.Play(rounds); err != nil {
-			b.Fatal(err)
-		}
+		unsup := play(ga.WithAudit(ga.AuditOff))
+		sup := play(ga.WithPunishment(ga.NewDisconnectScheme(2, 0)), ga.WithAudit(ga.AuditPerRound))
 		gainUnsup = unsup.CumulativePayoff(1) / rounds
 		gainSup = sup.CumulativePayoff(1) / rounds
 	}
@@ -143,14 +139,15 @@ func BenchmarkET5RRA(b *testing.B) {
 	)
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		h, err := ga.NewSupervisedRRA(n, bb, uint64(i), ga.NewDisconnectScheme(n, 0), true)
+		s, err := ga.New(nil, ga.WithRRA(n, bb),
+			ga.WithPunishment(ga.NewDisconnectScheme(n, 0)), ga.WithSeed(uint64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := h.Play(k); err != nil {
+		if _, err := s.Run(context.Background(), k); err != nil {
 			b.Fatal(err)
 		}
-		r, err := ga.MultiRoundAnarchyCost(float64(h.RRA().MaxLoad()), ga.OptMaxLoad(n, bb, k))
+		r, err := ga.MultiRoundAnarchyCost(float64(s.Stats().MaxLoad), ga.OptMaxLoad(n, bb, k))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,31 +207,25 @@ func BenchmarkEAUDAuditing(b *testing.B) {
 	strategies := func(int, ga.Profile) ga.MixedProfile {
 		return ga.MixedProfile{ga.Uniform(2), ga.Uniform(2)}
 	}
-	run := func(mode ga.MixedConfig) float64 {
-		s, err := ga.NewMixedSession(mode)
+	run := func(seed uint64, audit ga.Option) float64 {
+		s, err := ga.New(ga.MatchingPennies(), ga.WithStrategies(strategies),
+			ga.WithPunishment(ga.NewDisconnectScheme(2, 0)), audit, ga.WithSeed(seed))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.Play(rounds); err != nil {
+		if _, err := s.Run(context.Background(), rounds); err != nil {
 			b.Fatal(err)
 		}
-		if err := s.CloseEpoch(); err != nil {
+		// Close audits the trailing epoch.
+		if err := s.Close(); err != nil {
 			b.Fatal(err)
 		}
-		return float64(s.Stats().Agreements)
+		return float64(s.Stats().Protocol.Agreements)
 	}
 	var perRound, batched float64
 	for i := 0; i < b.N; i++ {
-		perRound = run(ga.MixedConfig{
-			Elected: ga.MatchingPennies(), Strategies: strategies,
-			Agents: []*ga.MixedAgent{nil, nil}, Scheme: ga.NewDisconnectScheme(2, 0),
-			Mode: ga.AuditPerRound, Seed: uint64(i),
-		})
-		batched = run(ga.MixedConfig{
-			Elected: ga.MatchingPennies(), Strategies: strategies,
-			Agents: []*ga.MixedAgent{nil, nil}, Scheme: ga.NewDisconnectScheme(2, 0),
-			Mode: ga.AuditBatched, EpochLen: 16, Seed: uint64(i),
-		})
+		perRound = run(uint64(i), ga.WithAudit(ga.AuditPerRound))
+		batched = run(uint64(i), ga.WithAudit(ga.AuditBatched, ga.EpochLen(16)))
 	}
 	b.ReportMetric(perRound/rounds, "agreements/round(per-round)")
 	b.ReportMetric(batched/rounds, "agreements/round(batched-T16)")
@@ -248,19 +239,19 @@ func BenchmarkEPUNPunishment(b *testing.B) {
 	}
 	roundsTo := func(scheme ga.PunishmentScheme, seed uint64) float64 {
 		manip := &ga.MixedAgent{Override: func(int, int) int { return ga.ManipulateAction }}
-		s, err := ga.NewMixedSession(ga.MixedConfig{
-			Elected: ga.MatchingPennies(), Actual: ga.MatchingPenniesManipulated(),
-			Strategies: strategies, Agents: []*ga.MixedAgent{nil, manip},
-			Scheme: scheme, Mode: ga.AuditPerRound, Seed: seed,
-		})
+		s, err := ga.New(ga.MatchingPennies(),
+			ga.WithActual(ga.MatchingPenniesManipulated()),
+			ga.WithStrategies(strategies), ga.WithMixedAgents(nil, manip),
+			ga.WithPunishment(scheme), ga.WithAudit(ga.AuditPerRound), ga.WithSeed(seed))
 		if err != nil {
 			b.Fatal(err)
 		}
+		mixed := ga.AsMixed(s)
 		for r := 1; r <= 200; r++ {
-			if _, err := s.PlayRound(); err != nil {
+			if _, err := s.Play(context.Background()); err != nil {
 				b.Fatal(err)
 			}
-			if s.Excluded(1) {
+			if mixed.Excluded(1) {
 				return float64(r)
 			}
 		}
@@ -345,20 +336,19 @@ func BenchmarkEBAPAgreement(b *testing.B) {
 // BenchmarkDistributedPlay measures full distributed plays (4 processors,
 // f=1: clock sync + 4 interactive consistencies per play).
 func BenchmarkDistributedPlay(b *testing.B) {
-	g := ga.PrisonersDilemma()
-	_ = g
 	// A 4-player dominant-strategy game (one player per processor).
 	g4 := benchNPD{n: 4}
-	s, err := ga.NewDistributedSession(4, 1, g4, make([]*ga.Agent, 4), 7, nil)
+	s, err := ga.New(g4, ga.WithDistributed(4, 1, nil), ga.WithPulseWorkers(1), ga.WithSeed(7))
 	if err != nil {
 		b.Fatal(err)
 	}
+	d := ga.AsDistributed(s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.RunPlays(1)
+		d.RunPlays(1)
 	}
 	b.StopTimer()
-	if err := s.ConsistentResults(3); err != nil {
+	if err := d.ConsistentResults(3); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -372,21 +362,21 @@ func BenchmarkEEXTSampled(b *testing.B) {
 	var latency float64
 	for i := 0; i < b.N; i++ {
 		manip := &ga.MixedAgent{Override: func(int, int) int { return ga.ManipulateAction }}
-		s, err := ga.NewMixedSession(ga.MixedConfig{
-			Elected: ga.MatchingPennies(), Actual: ga.MatchingPenniesManipulated(),
-			Strategies: strategies, Agents: []*ga.MixedAgent{nil, manip},
-			Scheme: ga.NewDisconnectScheme(2, 0), Mode: ga.AuditSampled,
-			SampleProb: 0.2, Seed: uint64(i),
-		})
+		s, err := ga.New(ga.MatchingPennies(),
+			ga.WithActual(ga.MatchingPenniesManipulated()),
+			ga.WithStrategies(strategies), ga.WithMixedAgents(nil, manip),
+			ga.WithPunishment(ga.NewDisconnectScheme(2, 0)),
+			ga.WithAudit(ga.AuditSampled, ga.SampleProb(0.2)), ga.WithSeed(uint64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
+		mixed := ga.AsMixed(s)
 		latency = 201
 		for r := 1; r <= 200; r++ {
-			if _, err := s.PlayRound(); err != nil {
+			if _, err := s.Play(context.Background()); err != nil {
 				b.Fatal(err)
 			}
-			if s.Excluded(1) {
+			if mixed.Excluded(1) {
 				latency = float64(r)
 				break
 			}

@@ -1,6 +1,7 @@
 package gameauthority_test
 
 import (
+	"context"
 	"testing"
 
 	ga "gameauthority"
@@ -36,50 +37,43 @@ func TestFacadeTableGames(t *testing.T) {
 
 func TestFacadeSampledAudit(t *testing.T) {
 	manip := &ga.MixedAgent{Override: func(int, int) int { return ga.ManipulateAction }}
-	s, err := ga.NewMixedSession(ga.MixedConfig{
-		Elected: ga.MatchingPennies(),
-		Actual:  ga.MatchingPenniesManipulated(),
-		Strategies: func(int, ga.Profile) ga.MixedProfile {
+	s, err := ga.New(ga.MatchingPennies(),
+		ga.WithActual(ga.MatchingPenniesManipulated()),
+		ga.WithStrategies(func(int, ga.Profile) ga.MixedProfile {
 			return ga.MixedProfile{ga.Uniform(2), ga.Uniform(2)}
-		},
-		Agents:     []*ga.MixedAgent{nil, manip},
-		Scheme:     ga.NewDisconnectScheme(2, 0),
-		Mode:       ga.AuditSampled,
-		SampleProb: 0.5,
-		Seed:       3,
-	})
+		}),
+		ga.WithMixedAgents(nil, manip),
+		ga.WithPunishment(ga.NewDisconnectScheme(2, 0)),
+		ga.WithAudit(ga.AuditSampled, ga.SampleProb(0.5)),
+		ga.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Play(100); err != nil {
+	if _, err := s.Run(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Excluded(1) {
+	if !ga.AsMixed(s).Excluded(1) {
 		t.Fatal("sampled audit never caught the manipulator through the facade")
 	}
 }
 
 func TestFacadeStatisticalAudit(t *testing.T) {
 	biased := &ga.MixedAgent{Override: func(int, int) int { return 0 }}
-	s, err := ga.NewMixedSession(ga.MixedConfig{
-		Elected: ga.MatchingPennies(),
-		Strategies: func(int, ga.Profile) ga.MixedProfile {
+	s, err := ga.New(ga.MatchingPennies(),
+		ga.WithStrategies(func(int, ga.Profile) ga.MixedProfile {
 			return ga.MixedProfile{ga.Uniform(2), ga.Uniform(2)}
-		},
-		Agents:       []*ga.MixedAgent{nil, biased},
-		Scheme:       ga.NewReputationScheme(2, 0.5, 0.4, 0),
-		Mode:         ga.AuditStatistical,
-		Window:       50,
-		ChiThreshold: 6.63,
-		Seed:         4,
-	})
+		}),
+		ga.WithMixedAgents(nil, biased),
+		ga.WithPunishment(ga.NewReputationScheme(2, 0.5, 0.4, 0)),
+		ga.WithAudit(ga.AuditStatistical, ga.Window(50), ga.ChiThreshold(6.63)),
+		ga.WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Play(600); err != nil {
+	if _, err := s.Run(context.Background(), 600); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Excluded(1) {
+	if !ga.AsMixed(s).Excluded(1) {
 		t.Fatal("statistical audit never flagged the biased player through the facade")
 	}
 }

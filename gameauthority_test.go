@@ -1,6 +1,7 @@
 package gameauthority_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -16,36 +17,25 @@ func TestEndToEndFig1(t *testing.T) {
 	}
 	manipulator := &ga.MixedAgent{Override: func(round, honest int) int { return ga.ManipulateAction }}
 
-	unsup, err := ga.NewMixedSession(ga.MixedConfig{
-		Elected:    ga.MatchingPennies(),
-		Actual:     ga.MatchingPenniesManipulated(),
-		Strategies: strategies,
-		Agents:     []*ga.MixedAgent{nil, manipulator},
-		Mode:       ga.AuditOff,
-		Seed:       1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	newFig1 := func(seed uint64, opts ...ga.Option) *ga.MixedSession {
+		t.Helper()
+		opts = append([]ga.Option{
+			ga.WithActual(ga.MatchingPenniesManipulated()),
+			ga.WithStrategies(strategies),
+			ga.WithMixedAgents(nil, manipulator),
+			ga.WithSeed(seed),
+		}, opts...)
+		s, err := ga.New(ga.MatchingPennies(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(context.Background(), rounds); err != nil {
+			t.Fatal(err)
+		}
+		return ga.AsMixed(s)
 	}
-	if err := unsup.Play(rounds); err != nil {
-		t.Fatal(err)
-	}
-
-	sup, err := ga.NewMixedSession(ga.MixedConfig{
-		Elected:    ga.MatchingPennies(),
-		Actual:     ga.MatchingPenniesManipulated(),
-		Strategies: strategies,
-		Agents:     []*ga.MixedAgent{nil, manipulator},
-		Scheme:     ga.NewDisconnectScheme(2, 0),
-		Mode:       ga.AuditPerRound,
-		Seed:       2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sup.Play(rounds); err != nil {
-		t.Fatal(err)
-	}
+	unsup := newFig1(1)
+	sup := newFig1(2, ga.WithPunishment(ga.NewDisconnectScheme(2, 0)), ga.WithAudit(ga.AuditPerRound))
 
 	gainUnsup := unsup.CumulativePayoff(1) / rounds
 	gainSup := sup.CumulativePayoff(1) / rounds
@@ -61,22 +51,25 @@ func TestEndToEndFig1(t *testing.T) {
 }
 
 // TestEndToEndDistributed runs the full distributed middleware through the
-// facade: an agent playing outside Π is convicted by every honest replica.
+// facade: honest replicas agree on every play.
 func TestEndToEndDistributed(t *testing.T) {
 	g := ga.PrisonersDilemma()
-	behaviors := make([]*ga.Agent, 2)
 	// Two-player game on a 4-processor network is not supported (one
 	// player per processor), so use the 2-processor degenerate bound:
 	// f must be 0 (n > 3f).
-	s, err := ga.NewDistributedSession(2, 0, g, behaviors, 11, nil)
+	s, err := ga.New(g, ga.WithDistributed(2, 0, nil), ga.WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunPlays(4)
-	if err := s.ConsistentResults(3); err != nil {
+	defer s.Close()
+	if _, err := s.Run(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
-	res := s.Procs[0].Results()
+	d := ga.AsDistributed(s)
+	if err := d.ConsistentResults(3); err != nil {
+		t.Fatal(err)
+	}
+	res := d.Procs[0].Results()
 	if len(res) < 3 {
 		t.Fatalf("plays completed = %d", len(res))
 	}
@@ -94,13 +87,15 @@ func TestEndToEndRRATheorem5(t *testing.T) {
 		n, b = 8, 4
 		k    = 2000
 	)
-	h, err := ga.NewSupervisedRRA(n, b, 3, ga.NewDisconnectScheme(n, 0), true)
+	s, err := ga.New(nil, ga.WithRRA(n, b),
+		ga.WithPunishment(ga.NewDisconnectScheme(n, 0)), ga.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Play(k); err != nil {
+	if _, err := s.Run(context.Background(), k); err != nil {
 		t.Fatal(err)
 	}
+	h := ga.AsRRA(s)
 	r, err := ga.MultiRoundAnarchyCost(float64(h.RRA().MaxLoad()), ga.OptMaxLoad(n, b, k))
 	if err != nil {
 		t.Fatal(err)

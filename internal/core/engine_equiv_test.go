@@ -94,11 +94,11 @@ func TestDistEngineEquivalenceUnderCorruption(t *testing.T) {
 	}
 	// Identical corruption entropy on both networks.
 	AsDist := func(s Session) *DistSession {
-		d, ok := s.(interface{ Dist() *DistSession })
+		d, ok := Driver(s).(*DistSession)
 		if !ok {
 			t.Fatal("not a distributed session")
 		}
-		return d.Dist()
+		return d
 	}
 	entA, entB := prng.New(1234), prng.New(1234)
 	AsDist(lock).Net.Corrupt(entA.Uint64)

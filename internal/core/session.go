@@ -4,11 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"slices"
 	"sync"
 	"time"
 
-	"gameauthority/internal/audit"
 	"gameauthority/internal/game"
 	"gameauthority/internal/obs"
 	"gameauthority/internal/prng"
@@ -51,9 +50,10 @@ func (k SessionKind) String() string {
 	}
 }
 
-// Session is the uniform authority-session interface implemented by all
-// four drivers (pure, mixed, RRA, distributed). Implementations are safe
-// for concurrent use; plays are serialized internally.
+// Session is the uniform authority-session interface. NewSession returns
+// one implementation for every play mode — pure, mixed, RRA and
+// distributed differ only in the engine behind it. Sessions are safe for
+// concurrent use; plays are serialized internally.
 type Session interface {
 	// Play executes one audited play of the §3.3 protocol.
 	Play(ctx context.Context) (RoundResult, error)
@@ -214,8 +214,50 @@ func (cfg *SessionConfig) inferKind() SessionKind {
 	}
 }
 
+// configRules are the cross-kind option checks. NewSession applies them
+// once the kind is resolved and before any engine is built: a rule rejects
+// a configuration of one of its kinds when its predicate holds. Checks that
+// need an engine's own arithmetic (player counts, n > 3f) stay in the
+// engine constructors.
+var configRules = []struct {
+	kinds  []SessionKind
+	reject func(SessionConfig) bool
+	msg    string
+}{
+	{[]SessionKind{KindPure, KindMixed, KindDistributed},
+		func(c SessionConfig) bool { return c.Game == nil }, "nil game"},
+	{[]SessionKind{KindRRA},
+		func(c SessionConfig) bool { return c.Game != nil }, "RRA sessions build their own game (drop the game argument)"},
+	{[]SessionKind{KindMixed},
+		func(c SessionConfig) bool { return c.Strategies == nil }, "mixed sessions require strategies"},
+	{[]SessionKind{KindRRA, KindDistributed},
+		func(c SessionConfig) bool { return c.Strategies != nil || c.MixedAgents != nil }, "mixed strategies apply to mixed sessions"},
+	{[]SessionKind{KindMixed},
+		func(c SessionConfig) bool { return c.Agents != nil }, "pure-strategy agents on a mixed session (use mixed agents)"},
+	{[]SessionKind{KindRRA},
+		func(c SessionConfig) bool { return c.Agents != nil }, "RRA behaviours are installed with RRAByz, not agents"},
+	{[]SessionKind{KindPure, KindRRA, KindDistributed},
+		func(c SessionConfig) bool { return c.Actual != nil }, "an actual game applies to mixed sessions"},
+	{[]SessionKind{KindRRA, KindDistributed},
+		func(c SessionConfig) bool { return c.Mode != 0 }, "audit disciplines apply to mixed sessions"},
+	{[]SessionKind{KindDistributed},
+		func(c SessionConfig) bool { return c.RRAAgents > 0 || c.RRAResources > 0 || c.RRAByz != nil }, "RRA options on a distributed session"},
+	{[]SessionKind{KindPure, KindMixed, KindRRA},
+		func(c SessionConfig) bool { return c.DistPulseBudget != 0 }, "pulse budgets apply to distributed sessions"},
+	{[]SessionKind{KindPure, KindMixed, KindRRA},
+		func(c SessionConfig) bool { return c.DistWorkers != 0 }, "pulse workers apply to distributed sessions"},
+	{[]SessionKind{KindDistributed},
+		func(c SessionConfig) bool { return c.DistWorkers < 0 }, "negative pulse workers"},
+	// A network adversary alone selects the distributed kind; name the real
+	// mistake instead of failing the engine's n > 3f arithmetic.
+	{[]SessionKind{KindDistributed},
+		func(c SessionConfig) bool { return c.DistProcs == 0 && c.DistByz != nil },
+		"network adversaries require a distributed session (combine WithNetworkAdversary with WithDistributed)"},
+}
+
 // NewSession validates the configuration, runs the legislative service if
-// requested, and builds the driver for the resolved session kind.
+// requested, and wraps the engine for the resolved session kind in the
+// session shell.
 func NewSession(cfg SessionConfig) (Session, error) {
 	hub := newObserverHub()
 
@@ -239,34 +281,51 @@ func NewSession(cfg SessionConfig) (Session, error) {
 		})
 	}
 
+	kind := cfg.inferKind()
+	for _, rule := range configRules {
+		if slices.Contains(rule.kinds, kind) && rule.reject(cfg) {
+			return nil, fmt.Errorf("%w: %s", ErrConfig, rule.msg)
+		}
+	}
+
 	// Accelerate the elected game into cost lookup tables (when its
-	// profile space is small enough) before any driver or honest agent
+	// profile space is small enough) before any engine or honest agent
 	// captures it, so every audit and best-response query is a lookup.
 	cfg.Game = game.Accelerate(cfg.Game)
 	cfg.Actual = game.Accelerate(cfg.Actual)
 
-	kind := cfg.inferKind()
+	var (
+		eng engine
+		n   int
+		err error
+	)
 	switch kind {
 	case KindPure:
-		return newPureDriver(cfg, hub)
+		n = cfg.Game.NumPlayers()
+		eng, err = newPureEngine(cfg)
 	case KindMixed:
-		return newMixedDriver(cfg, hub)
+		n = cfg.Game.NumPlayers()
+		eng, err = newMixedEngine(cfg)
 	case KindRRA:
-		return newRRADriver(cfg, hub)
+		n = cfg.RRAAgents
+		eng, err = newRRAEngine(cfg)
 	case KindDistributed:
-		return newDistDriver(cfg, hub)
-	default:
-		return nil, fmt.Errorf("%w: unknown session kind %d", ErrConfig, kind)
+		n = cfg.DistProcs
+		eng, err = newDistEngine(cfg, hub)
 	}
+	if err != nil {
+		return nil, err
+	}
+	s := &session{kind: kind, eng: eng, hub: hub, before: make([]bool, n)}
+	s.history.setLimit(cfg.HistoryLimit)
+	return s, nil
 }
 
-// runSession is the shared Run implementation.
 // playLatency is the per-driver play-latency histogram family, indexed
 // by SessionKind. Recording is three atomic adds, so the instrumented
 // hot paths keep their pinned allocation budgets (pure play stays 0).
-// Single plays record in Play; batched rounds record inside playN, so
-// every audited round lands in the same series regardless of transport
-// or batching.
+// Every audited round records inside PlayN, so it lands in the same
+// series regardless of transport or batching.
 var playLatency = [...]*obs.Histogram{
 	KindPure: obs.NewHistogram("gameauthority_play_latency_seconds",
 		"Latency of one audited play, by driver.", obs.Label{Key: "driver", Value: "pure"}),
@@ -278,36 +337,49 @@ var playLatency = [...]*obs.Histogram{
 		"Latency of one audited play, by driver.", obs.Label{Key: "driver", Value: "distributed"}),
 }
 
-func runSession(ctx context.Context, s Session, rounds int) (RoundResult, error) {
-	var last RoundResult
-	for i := 0; i < rounds; i++ {
-		res, err := s.Play(ctx)
-		if err != nil {
-			return last, err
-		}
-		last = res
-	}
-	return last, nil
+// session is the one Session implementation. The authority runs the same
+// per-play protocol in every play mode — choose, commit, reveal, audit,
+// punish, publish — and only the engine step differs, so the shell owns
+// everything around that step: locking, the closed flag, the foul and
+// conviction counters, the exclusion diff that detects convictions, the
+// history ring, the observer stream, latency recording, and snapshots.
+type session struct {
+	mu          sync.Mutex
+	kind        SessionKind
+	eng         engine
+	hub         *observerHub
+	history     historyRing
+	fouls       int
+	convictions int
+	closed      bool
+
+	// Per-play scratch, reused across plays. len(before) is the player
+	// count.
+	before   []bool // exclusion flags ahead of the play
+	excluded []int
 }
 
-// playN is the shared PlayN implementation: one lock acquisition, n
-// sequential locked plays, sink observing each result before the next
-// play reuses its scratch. Each driver's Play is lock + playLocked, so
-// the batch path is structurally the same state evolution as n
-// sequential Play calls.
-func playN(ctx context.Context, mu *sync.Mutex, kind SessionKind,
-	play func(context.Context) (RoundResult, error),
-	n int, sink func(RoundResult) error) (RoundResult, error) {
+// Play implements Session.
+func (s *session) Play(ctx context.Context) (RoundResult, error) {
+	return s.PlayN(ctx, 1, nil)
+}
+
+// PlayN implements Session: one lock acquisition, n sequential locked
+// plays, sink observing each result before the next play reuses its
+// scratch. Events are emitted under the lock so concurrent players cannot
+// interleave streams out of round order (observers must not call back
+// into the session — see Observer).
+func (s *session) PlayN(ctx context.Context, n int, sink func(RoundResult) error) (RoundResult, error) {
 	if n <= 0 {
 		return RoundResult{}, fmt.Errorf("%w: non-positive batch size %d", ErrConfig, n)
 	}
-	hist := playLatency[kind]
-	mu.Lock()
-	defer mu.Unlock()
+	hist := playLatency[s.kind]
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var last RoundResult
 	for i := 0; i < n; i++ {
 		t0 := time.Now()
-		res, err := play(ctx)
+		res, err := s.playLocked(ctx)
 		hist.Record(time.Since(t0))
 		if err != nil {
 			return last, err
@@ -322,37 +394,68 @@ func playN(ctx context.Context, mu *sync.Mutex, kind SessionKind,
 	return last, nil
 }
 
-// snapshotExcluded captures the executive's current exclusion flags.
-func snapshotExcluded(n int, excluded func(int) bool) []bool {
-	out := make([]bool, n)
-	snapshotExcludedInto(out, excluded)
+func (s *session) playLocked(ctx context.Context) (RoundResult, error) {
+	if err := ctx.Err(); err != nil {
+		return RoundResult{}, err
+	}
+	if s.closed {
+		return RoundResult{}, fmt.Errorf("%w: play on a closed session", ErrClosed)
+	}
+	s.markExcluded()
+	s.excluded = s.excluded[:0]
+	for i, was := range s.before {
+		if was {
+			s.excluded = append(s.excluded, i)
+		}
+	}
+	res, fouls, err := s.eng.step(ctx, s.history.recorded())
+	if err != nil {
+		return RoundResult{}, err
+	}
+	res.Excluded = s.excluded
+	s.fouls += fouls
+	out := s.history.record(&res)
+	newly := s.newlyExcluded()
+	s.convictions += len(newly)
+	if s.hub.active() {
+		s.hub.emitAll(playEvents(out, newly))
+	}
+	return out, nil
+}
+
+// markExcluded captures the executive's exclusion flags into the before
+// scratch, ahead of a play or a closing audit.
+func (s *session) markExcluded() {
+	for i := range s.before {
+		s.before[i] = s.eng.Excluded(i)
+	}
+}
+
+// newlyExcluded lists the agents excluded since markExcluded.
+func (s *session) newlyExcluded() []int {
+	var out []int
+	for i, was := range s.before {
+		if !was && s.eng.Excluded(i) {
+			out = append(out, i)
+		}
+	}
 	return out
 }
 
-// snapshotExcludedInto is snapshotExcluded over a reused scratch slice.
-func snapshotExcludedInto(out []bool, excluded func(int) bool) {
+// excludedFlags returns a fresh copy of the current exclusion flags.
+func (s *session) excludedFlags() []bool {
+	out := make([]bool, len(s.before))
 	for i := range out {
-		out[i] = excluded(i)
-	}
-}
-
-// newlyExcluded diffs exclusion flags before and after a play.
-func newlyExcluded(before []bool, excluded func(int) bool) []int {
-	var out []int
-	for i, was := range before {
-		if !was && excluded(i) {
-			out = append(out, i)
-		}
+		out[i] = s.eng.Excluded(i)
 	}
 	return out
 }
 
-func excludedIDs(flags []bool) []int {
-	var out []int
-	for i, f := range flags {
-		if f {
-			out = append(out, i)
-		}
+// cumulativeCosts returns a fresh copy of every agent's cumulative cost.
+func (s *session) cumulativeCosts() []float64 {
+	out := make([]float64, len(s.before))
+	for i := range out {
+		out[i] = s.eng.CumulativeCost(i)
 	}
 	return out
 }
@@ -371,10 +474,14 @@ func playEvents(res RoundResult, convictions []int) []Event {
 	if len(res.Verdict.Fouls) > 0 {
 		evs = append(evs, Event{Kind: EventVerdict, Round: res.Round, Fouls: cloneFouls(res.Verdict.Fouls)})
 	}
-	for _, agent := range convictions {
+	return appendConvictions(evs, res.Round, convictions)
+}
+
+func appendConvictions(evs []Event, round int, agents []int) []Event {
+	for _, agent := range agents {
 		evs = append(evs, Event{
 			Kind:   EventConviction,
-			Round:  res.Round,
+			Round:  round,
 			Agent:  agent,
 			Detail: "excluded by the executive service",
 		})
@@ -382,760 +489,91 @@ func playEvents(res RoundResult, convictions []int) []Event {
 	return evs
 }
 
-// --- Pure driver ---------------------------------------------------------------
-
-type pureDriver struct {
-	mu          sync.Mutex
-	s           *PureSession
-	n           int
-	hub         *observerHub
-	fouls       int
-	convictions int
-	closed      bool
-	before      []bool // exclusion-snapshot scratch, reused per play
-}
-
-func newPureDriver(cfg SessionConfig, hub *observerHub) (Session, error) {
-	if cfg.Game == nil {
-		return nil, fmt.Errorf("%w: nil game", ErrConfig)
-	}
-	if cfg.MixedAgents != nil {
-		return nil, fmt.Errorf("%w: mixed agents require strategies (a mixed session)", ErrConfig)
-	}
-	if cfg.Actual != nil {
-		return nil, fmt.Errorf("%w: an actual game applies to mixed sessions", ErrConfig)
-	}
-	if cfg.DistPulseBudget != 0 {
-		return nil, fmt.Errorf("%w: pulse budgets apply to distributed sessions", ErrConfig)
-	}
-	if cfg.DistWorkers != 0 {
-		return nil, fmt.Errorf("%w: pulse workers apply to distributed sessions", ErrConfig)
-	}
-	n := cfg.Game.NumPlayers()
-	agents := cfg.Agents
-	if agents == nil {
-		agents = make([]*Agent, n)
-	}
-	if len(agents) != n {
-		return nil, fmt.Errorf("%w: %d agents for %d players", ErrConfig, len(agents), n)
-	}
-	filled := make([]*Agent, n)
-	copy(filled, agents)
-	if err := installPureDeviants(filled, cfg.Deviants, cfg.Game, cfg.Seed); err != nil {
-		return nil, err
-	}
-	for i := range filled {
-		if filled[i] == nil {
-			filled[i] = HonestPure(cfg.Game, i)
+// Run implements Session.
+func (s *session) Run(ctx context.Context, rounds int) (RoundResult, error) {
+	var last RoundResult
+	for i := 0; i < rounds; i++ {
+		res, err := s.Play(ctx)
+		if err != nil {
+			return last, err
 		}
+		last = res
 	}
-	s, err := NewPureSession(cfg.Game, filled, cfg.Scheme, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.SetHistoryLimit(cfg.HistoryLimit); err != nil {
-		return nil, err
-	}
-	return &pureDriver{s: s, n: n, hub: hub, before: make([]bool, n)}, nil
+	return last, nil
 }
 
-// Pure exposes the wrapped driver for measurements and legacy helpers.
-func (d *pureDriver) Pure() *PureSession { return d.s }
-
-// Play emits events while still holding the play mutex so concurrent
-// players cannot interleave streams out of round order (observers must not
-// call back into the session — see Observer).
-func (d *pureDriver) Play(ctx context.Context) (RoundResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	t0 := time.Now()
-	res, err := d.playLocked(ctx)
-	playLatency[KindPure].Record(time.Since(t0))
-	return res, err
+// Results implements Session.
+func (s *session) Results() []RoundResult {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.history.snapshot()
 }
 
-// PlayN implements Session.
-func (d *pureDriver) PlayN(ctx context.Context, n int, sink func(RoundResult) error) (RoundResult, error) {
-	return playN(ctx, &d.mu, KindPure, d.playLocked, n, sink)
-}
-
-func (d *pureDriver) playLocked(ctx context.Context) (RoundResult, error) {
-	if err := ctx.Err(); err != nil {
-		return RoundResult{}, err
-	}
-	if d.closed {
-		return RoundResult{}, fmt.Errorf("%w: play on a closed session", ErrClosed)
-	}
-	snapshotExcludedInto(d.before, d.s.Excluded)
-	res, err := d.s.PlayRound()
-	if err != nil {
-		return RoundResult{}, err
-	}
-	d.fouls += len(res.Verdict.Fouls)
-	newly := newlyExcluded(d.before, d.s.Excluded)
-	d.convictions += len(newly)
-	if d.hub.active() {
-		d.hub.emitAll(playEvents(res, newly))
-	}
-	return res, nil
-}
-
-func (d *pureDriver) Run(ctx context.Context, rounds int) (RoundResult, error) {
-	return runSession(ctx, d, rounds)
-}
-
-func (d *pureDriver) Results() []RoundResult {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.s.History()
-}
-
-func (d *pureDriver) ResultAt(round int) (RoundResult, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.s.ResultAt(round)
-}
-
-func (d *pureDriver) Stats() SessionStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := SessionStats{
-		Kind:           KindPure,
-		Players:        d.n,
-		Rounds:         d.s.Round(),
-		CumulativeCost: make([]float64, d.n),
-		Excluded:       snapshotExcluded(d.n, d.s.Excluded),
-		Fouls:          d.fouls,
-		Convictions:    d.convictions,
-	}
-	for i := 0; i < d.n; i++ {
-		st.CumulativeCost[i] = d.s.CumulativeCost(i)
-	}
-	return st
-}
-
-func (d *pureDriver) Subscribe(o Observer) func() { return d.hub.subscribe(o) }
-
-// Close finalizes the session: further plays fail with ErrClosed while
-// Results, ResultAt and Stats keep answering. Close is idempotent.
-func (d *pureDriver) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.closed = true
-	return nil
-}
-
-// --- Mixed driver --------------------------------------------------------------
-
-type mixedDriver struct {
-	mu           sync.Mutex
-	s            *MixedSession
-	n            int
-	hub          *observerHub
-	history      historyRing
-	seenVerdicts int
-	fouls        int
-	convictions  int
-	closed       bool
-
-	// Per-play scratch, reused across plays.
-	before   []bool
-	prevCost []float64
-	costs    []float64
-	merged   audit.Verdict
-	result   RoundResult
-}
-
-func newMixedDriver(cfg SessionConfig, hub *observerHub) (Session, error) {
-	if cfg.Agents != nil {
-		return nil, fmt.Errorf("%w: pure-strategy agents on a mixed session (use mixed agents)", ErrConfig)
-	}
-	if cfg.Game == nil {
-		return nil, fmt.Errorf("%w: nil elected game", ErrConfig)
-	}
-	if cfg.Strategies == nil {
-		return nil, fmt.Errorf("%w: mixed sessions require strategies", ErrConfig)
-	}
-	if cfg.DistPulseBudget != 0 {
-		return nil, fmt.Errorf("%w: pulse budgets apply to distributed sessions", ErrConfig)
-	}
-	if cfg.DistWorkers != 0 {
-		return nil, fmt.Errorf("%w: pulse workers apply to distributed sessions", ErrConfig)
-	}
-	n := cfg.Game.NumPlayers()
-	agents := make([]*MixedAgent, n)
-	if cfg.MixedAgents != nil {
-		if len(cfg.MixedAgents) != n {
-			return nil, fmt.Errorf("%w: %d mixed agents for %d players", ErrConfig, len(cfg.MixedAgents), n)
-		}
-		copy(agents, cfg.MixedAgents)
-	}
-	if err := installMixedDeviants(agents, cfg.Deviants, cfg.Game, cfg.Seed); err != nil {
-		return nil, err
-	}
-	mode := cfg.Mode
-	if mode == 0 {
-		// Default discipline: audit per round when an executive scheme is
-		// installed, otherwise the unsupervised baseline.
-		if cfg.Scheme != nil {
-			mode = AuditPerRound
-		} else {
-			mode = AuditOff
-		}
-	}
-	s, err := NewMixedSession(MixedConfig{
-		Elected:      cfg.Game,
-		Actual:       cfg.Actual,
-		Strategies:   cfg.Strategies,
-		Agents:       agents,
-		Scheme:       cfg.Scheme,
-		Mode:         mode,
-		EpochLen:     cfg.EpochLen,
-		SampleProb:   cfg.SampleProb,
-		Window:       cfg.Window,
-		ChiThreshold: cfg.ChiThreshold,
-		Seed:         cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	d := &mixedDriver{
-		s: s, n: n, hub: hub,
-		before:   make([]bool, n),
-		prevCost: make([]float64, n),
-		costs:    make([]float64, n),
-	}
-	d.history.setLimit(cfg.HistoryLimit)
-	return d, nil
-}
-
-// Mixed exposes the wrapped driver for measurements and legacy helpers.
-func (d *mixedDriver) Mixed() *MixedSession { return d.s }
-
-// Play emits events under the play mutex; see pureDriver.Play.
-func (d *mixedDriver) Play(ctx context.Context) (RoundResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	t0 := time.Now()
-	res, err := d.playLocked(ctx)
-	playLatency[KindMixed].Record(time.Since(t0))
-	return res, err
-}
-
-// PlayN implements Session.
-func (d *mixedDriver) PlayN(ctx context.Context, n int, sink func(RoundResult) error) (RoundResult, error) {
-	return playN(ctx, &d.mu, KindMixed, d.playLocked, n, sink)
-}
-
-func (d *mixedDriver) playLocked(ctx context.Context) (RoundResult, error) {
-	if err := ctx.Err(); err != nil {
-		return RoundResult{}, err
-	}
-	if d.closed {
-		return RoundResult{}, fmt.Errorf("%w: play on a closed session", ErrClosed)
-	}
-	snapshotExcludedInto(d.before, d.s.Excluded)
-	for i := range d.prevCost {
-		d.prevCost[i] = d.s.CumulativeCost(i)
-	}
-	outcome, err := d.s.PlayRound()
-	if err != nil {
-		return RoundResult{}, err
-	}
-	for i := range d.costs {
-		d.costs[i] = d.s.CumulativeCost(i) - d.prevCost[i]
-	}
-	verdict := d.drainVerdicts()
-	d.result = RoundResult{
-		Round:     d.s.Round() - 1,
-		Outcome:   outcome,
-		Verdict:   verdict,
-		Convicted: verdict.Guilty(),
-		Excluded:  excludedIDs(d.before),
-		Costs:     d.costs,
-	}
-	res := d.history.record(&d.result)
-	newly := newlyExcluded(d.before, d.s.Excluded)
-	d.convictions += len(newly)
-	if d.hub.active() {
-		d.hub.emitAll(playEvents(res, newly))
-	}
-	return res, nil
-}
-
-// drainVerdicts merges verdicts issued since the last play into one
-// (reusing the driver's scratch). In batched mode an epoch's verdict lands
-// on the play that closed the epoch.
-func (d *mixedDriver) drainVerdicts() audit.Verdict {
-	count := d.s.VerdictCount()
-	d.merged.Fouls = d.merged.Fouls[:0]
-	for i := d.seenVerdicts; i < count; i++ {
-		d.merged.Fouls = append(d.merged.Fouls, d.s.VerdictAt(i).Fouls...)
-	}
-	d.seenVerdicts = count
-	d.fouls += len(d.merged.Fouls)
-	return d.merged
-}
-
-func (d *mixedDriver) Run(ctx context.Context, rounds int) (RoundResult, error) {
-	return runSession(ctx, d, rounds)
-}
-
-func (d *mixedDriver) Results() []RoundResult {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.history.snapshot()
-}
-
-func (d *mixedDriver) ResultAt(round int) (RoundResult, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	slot, ok := d.history.at(round)
+// ResultAt implements Session.
+func (s *session) ResultAt(round int) (RoundResult, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	slot, ok := s.history.at(round)
 	if !ok {
 		return RoundResult{}, false
 	}
 	return view(slot), true
 }
 
-func (d *mixedDriver) Stats() SessionStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// Stats implements Session.
+func (s *session) Stats() SessionStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	st := SessionStats{
-		Kind:           KindMixed,
-		Players:        d.n,
-		Rounds:         d.s.Round(),
-		CumulativeCost: make([]float64, d.n),
-		Excluded:       snapshotExcluded(d.n, d.s.Excluded),
-		Fouls:          d.fouls,
-		Convictions:    d.convictions,
-		Protocol:       d.s.Stats(),
+		Kind:           s.kind,
+		Players:        len(s.before),
+		Rounds:         s.history.recorded(),
+		CumulativeCost: s.cumulativeCosts(),
+		Excluded:       s.excludedFlags(),
+		Fouls:          s.fouls,
+		Convictions:    s.convictions,
 	}
-	for i := 0; i < d.n; i++ {
-		st.CumulativeCost[i] = d.s.CumulativeCost(i)
-	}
-	return st
+	return s.eng.stats(st)
 }
 
-func (d *mixedDriver) Subscribe(o Observer) func() { return d.hub.subscribe(o) }
+// Subscribe implements Session.
+func (s *session) Subscribe(o Observer) func() { return s.hub.subscribe(o) }
 
-// Close audits any trailing partial epoch (batched mode) and attaches the
-// verdict to the last recorded play. A failed close stays open so callers
-// can retry it.
-func (d *mixedDriver) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
+// Close implements Session. Fouls the engine's closing audit finds (a
+// batched-audit mixed session's trailing epoch) are attached to the last
+// recorded play. A failed close leaves the session open so callers can
+// retry it.
+func (s *session) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
 		return nil
 	}
-	before := snapshotExcluded(d.n, d.s.Excluded)
-	if err := d.s.CloseEpoch(); err != nil {
+	s.markExcluded()
+	fouls, err := s.eng.close()
+	if err != nil {
 		return err
 	}
-	d.closed = true
-	verdict := d.drainVerdicts()
-	newly := newlyExcluded(before, d.s.Excluded)
-	d.convictions += len(newly)
-	if last, ok := d.history.at(d.history.recorded() - 1); len(verdict.Fouls) > 0 && ok {
-		last.Verdict.Fouls = append(last.Verdict.Fouls, verdict.Fouls...)
+	s.closed = true
+	s.fouls += len(fouls)
+	newly := s.newlyExcluded()
+	s.convictions += len(newly)
+	if last, ok := s.history.at(s.history.recorded() - 1); len(fouls) > 0 && ok {
+		last.Verdict.Fouls = append(last.Verdict.Fouls, fouls...)
 		last.Convicted = append(last.Convicted[:0], last.Verdict.Guilty()...)
-		evs := []Event{{Kind: EventVerdict, Round: last.Round, Fouls: cloneFouls(verdict.Fouls)}}
-		for _, agent := range newly {
-			evs = append(evs, Event{
-				Kind:   EventConviction,
-				Round:  last.Round,
-				Agent:  agent,
-				Detail: "excluded by the executive service",
-			})
-		}
-		d.hub.emitAll(evs)
+		evs := []Event{{Kind: EventVerdict, Round: last.Round, Fouls: cloneFouls(fouls)}}
+		s.hub.emitAll(appendConvictions(evs, last.Round, newly))
 	}
 	return nil
 }
 
-// --- RRA driver ----------------------------------------------------------------
-
-type rraDriver struct {
-	mu          sync.Mutex
-	h           *RRASupervised
-	n           int
-	hub         *observerHub
-	history     historyRing
-	seenFouls   int
-	convictions int
-	closed      bool
-	cumCost     []float64
-
-	// Per-play scratch, reused across plays.
-	before  []bool
-	verdict audit.Verdict
-	costs   []float64
-	result  RoundResult
-}
-
-func newRRADriver(cfg SessionConfig, hub *observerHub) (Session, error) {
-	if cfg.Game != nil {
-		return nil, fmt.Errorf("%w: RRA sessions build their own game (drop the game argument)", ErrConfig)
+// Driver returns the play-mode driver behind s — a *PureSession,
+// *MixedSession, *RRASupervised or *DistSession — or nil when s is not a
+// session NewSession built. It serves measurements and fault injection;
+// playing the driver directly bypasses the session's history and counters.
+func Driver(s Session) any {
+	if sh, ok := s.(*session); ok {
+		return sh.eng.driver()
 	}
-	if cfg.Strategies != nil || cfg.MixedAgents != nil {
-		return nil, fmt.Errorf("%w: RRA sessions use the committed equilibrium strategy", ErrConfig)
-	}
-	if cfg.Actual != nil {
-		return nil, fmt.Errorf("%w: an actual game applies to mixed sessions", ErrConfig)
-	}
-	if cfg.Agents != nil {
-		return nil, fmt.Errorf("%w: RRA behaviours are installed with RRAByz, not agents", ErrConfig)
-	}
-	if cfg.Mode != 0 {
-		return nil, fmt.Errorf("%w: audit disciplines apply to mixed sessions", ErrConfig)
-	}
-	if cfg.DistPulseBudget != 0 {
-		return nil, fmt.Errorf("%w: pulse budgets apply to distributed sessions", ErrConfig)
-	}
-	if cfg.DistWorkers != 0 {
-		return nil, fmt.Errorf("%w: pulse workers apply to distributed sessions", ErrConfig)
-	}
-	h, err := NewRRASupervised(cfg.RRAAgents, cfg.RRAResources, cfg.Seed, cfg.Scheme, cfg.Scheme != nil)
-	if err != nil {
-		return nil, err
-	}
-	for agent, choose := range cfg.RRAByz {
-		h.SetByzantine(agent, choose)
-	}
-	deviants, err := deviantPlayers(cfg.Deviants, cfg.RRAAgents)
-	if err != nil {
-		return nil, err
-	}
-	for _, player := range deviants {
-		if _, taken := cfg.RRAByz[player]; taken {
-			return nil, fmt.Errorf("%w: RRA agent %d has both a Byzantine chooser and a deviant strategy", ErrConfig, player)
-		}
-		h.SetDeviant(player, cfg.Deviants[player].RRAChooser(player, cfg.Seed))
-	}
-	d := &rraDriver{
-		h: h, n: cfg.RRAAgents, hub: hub,
-		before:  make([]bool, cfg.RRAAgents),
-		costs:   make([]float64, cfg.RRAAgents),
-		cumCost: make([]float64, cfg.RRAAgents),
-	}
-	d.history.setLimit(cfg.HistoryLimit)
-	return d, nil
-}
-
-// Harness exposes the wrapped driver for measurements and legacy helpers.
-func (d *rraDriver) Harness() *RRASupervised { return d.h }
-
-// Play emits events under the play mutex; see pureDriver.Play.
-func (d *rraDriver) Play(ctx context.Context) (RoundResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	t0 := time.Now()
-	res, err := d.playLocked(ctx)
-	playLatency[KindRRA].Record(time.Since(t0))
-	return res, err
-}
-
-// PlayN implements Session.
-func (d *rraDriver) PlayN(ctx context.Context, n int, sink func(RoundResult) error) (RoundResult, error) {
-	return playN(ctx, &d.mu, KindRRA, d.playLocked, n, sink)
-}
-
-func (d *rraDriver) playLocked(ctx context.Context) (RoundResult, error) {
-	if err := ctx.Err(); err != nil {
-		return RoundResult{}, err
-	}
-	if d.closed {
-		return RoundResult{}, fmt.Errorf("%w: play on a closed session", ErrClosed)
-	}
-	snapshotExcludedInto(d.before, d.h.Excluded)
-	if err := d.h.PlayRound(); err != nil {
-		return RoundResult{}, err
-	}
-	d.verdict.Fouls = append(d.verdict.Fouls[:0], d.h.fouls[d.seenFouls:]...)
-	d.seenFouls = len(d.h.fouls)
-	// Per-agent cost of the play: the post-step cumulative load of the
-	// chosen resource — exactly the §6 strategic-form cost (pre-step load
-	// plus this round's contention).
-	for i, choice := range d.h.lastChoices {
-		d.costs[i] = float64(d.h.RRA().Load(choice))
-		d.cumCost[i] += d.costs[i]
-	}
-	d.result = RoundResult{
-		Round:     d.h.RRA().Rounds() - 1,
-		Outcome:   d.h.lastChoices,
-		Verdict:   d.verdict,
-		Convicted: d.verdict.Guilty(),
-		Excluded:  excludedIDs(d.before),
-		Costs:     d.costs,
-	}
-	res := d.history.record(&d.result)
-	newly := newlyExcluded(d.before, d.h.Excluded)
-	d.convictions += len(newly)
-	if d.hub.active() {
-		d.hub.emitAll(playEvents(res, newly))
-	}
-	return res, nil
-}
-
-func (d *rraDriver) Run(ctx context.Context, rounds int) (RoundResult, error) {
-	return runSession(ctx, d, rounds)
-}
-
-func (d *rraDriver) Results() []RoundResult {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.history.snapshot()
-}
-
-func (d *rraDriver) ResultAt(round int) (RoundResult, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	slot, ok := d.history.at(round)
-	if !ok {
-		return RoundResult{}, false
-	}
-	return view(slot), true
-}
-
-func (d *rraDriver) Stats() SessionStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return SessionStats{
-		Kind:           KindRRA,
-		Players:        d.n,
-		Rounds:         d.h.RRA().Rounds(),
-		CumulativeCost: append([]float64(nil), d.cumCost...),
-		Excluded:       snapshotExcluded(d.n, d.h.Excluded),
-		Fouls:          d.seenFouls,
-		Convictions:    d.convictions,
-		MaxLoad:        d.h.RRA().MaxLoad(),
-	}
-}
-
-func (d *rraDriver) Subscribe(o Observer) func() { return d.hub.subscribe(o) }
-
-// Close finalizes the session; see pureDriver.Close.
-func (d *rraDriver) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.closed = true
-	return nil
-}
-
-// --- Distributed driver --------------------------------------------------------
-
-type distDriver struct {
-	mu          sync.Mutex
-	s           *DistSession
-	g           game.Game
-	n, f        int
-	hub         *observerHub
-	budget      int
-	seen        int
-	lastPulse   int
-	fouls       int
-	convictions int
-	closed      bool
-	cumCost     []float64
-	history     historyRing
-
-	// Per-play scratch, reused across plays.
-	before []bool
-	costs  []float64
-	result RoundResult
-}
-
-func newDistDriver(cfg SessionConfig, hub *observerHub) (Session, error) {
-	if cfg.Game == nil {
-		return nil, fmt.Errorf("%w: nil game", ErrConfig)
-	}
-	if cfg.Strategies != nil || cfg.MixedAgents != nil {
-		return nil, fmt.Errorf("%w: the distributed driver plays pure strategies", ErrConfig)
-	}
-	if cfg.Mode != 0 {
-		return nil, fmt.Errorf("%w: audit disciplines apply to mixed sessions", ErrConfig)
-	}
-	if cfg.Actual != nil {
-		return nil, fmt.Errorf("%w: an actual game applies to mixed sessions", ErrConfig)
-	}
-	if cfg.RRAAgents > 0 || cfg.RRAResources > 0 || cfg.RRAByz != nil {
-		return nil, fmt.Errorf("%w: RRA options on a distributed session", ErrConfig)
-	}
-	n, f := cfg.DistProcs, cfg.DistFaults
-	if n == 0 && cfg.DistByz != nil {
-		// A network adversary alone selected this driver; name the real
-		// mistake instead of failing the n > 3f arithmetic below.
-		return nil, fmt.Errorf("%w: network adversaries require a distributed session (combine WithNetworkAdversary with WithDistributed)", ErrConfig)
-	}
-	if n <= 3*f {
-		return nil, fmt.Errorf("%w: need n > 3f (got n=%d f=%d)", ErrConfig, n, f)
-	}
-	if cfg.Agents != nil && len(cfg.Agents) != n {
-		return nil, fmt.Errorf("%w: %d agents for %d processors", ErrConfig, len(cfg.Agents), n)
-	}
-	behaviors := make([]*Agent, n)
-	copy(behaviors, cfg.Agents)
-	if err := installPureDeviants(behaviors, cfg.Deviants, cfg.Game, cfg.Seed); err != nil {
-		return nil, err
-	}
-	s, err := NewDistSessionWith(n, f, cfg.Game, behaviors, cfg.Seed, cfg.DistByz, cfg.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	budget := cfg.DistPulseBudget
-	if budget <= 0 {
-		budget = 50 * PulsesPerPlay(f)
-	}
-	if cfg.DistWorkers < 0 {
-		return nil, fmt.Errorf("%w: negative pulse workers %d", ErrConfig, cfg.DistWorkers)
-	}
-	workers := cfg.DistWorkers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0) // auto: use the cores we have
-	}
-	s.Net.SetWorkers(workers)
-	d := &distDriver{
-		s: s, g: cfg.Game, n: n, f: f, hub: hub, budget: budget,
-		before:  make([]bool, n),
-		costs:   make([]float64, n),
-		cumCost: make([]float64, n),
-	}
-	d.history.setLimit(cfg.HistoryLimit)
-	return d, nil
-}
-
-// Dist exposes the wrapped network session for fault injection and
-// consistency checks.
-func (d *distDriver) Dist() *DistSession { return d.s }
-
-// Play emits events under the play mutex; see pureDriver.Play.
-func (d *distDriver) Play(ctx context.Context) (RoundResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	t0 := time.Now()
-	res, err := d.playLocked(ctx)
-	playLatency[KindDistributed].Record(time.Since(t0))
-	return res, err
-}
-
-// PlayN implements Session.
-func (d *distDriver) PlayN(ctx context.Context, n int, sink func(RoundResult) error) (RoundResult, error) {
-	return playN(ctx, &d.mu, KindDistributed, d.playLocked, n, sink)
-}
-
-func (d *distDriver) playLocked(ctx context.Context) (RoundResult, error) {
-	if err := ctx.Err(); err != nil {
-		return RoundResult{}, err
-	}
-	if d.closed {
-		return RoundResult{}, fmt.Errorf("%w: play on a closed session", ErrClosed)
-	}
-	if len(d.s.Honest) == 0 {
-		return RoundResult{}, fmt.Errorf("%w: no honest processors to observe", ErrConfig)
-	}
-	ref := d.s.Procs[d.s.Honest[0]]
-	// A transient fault wipes processor histories; re-anchor the cursor.
-	if c := ref.ResultCount(); c < d.seen {
-		d.seen = c
-	}
-	snapshotExcludedInto(d.before, ref.Excluded)
-	for steps := 0; ref.ResultCount() <= d.seen; steps++ {
-		if err := ctx.Err(); err != nil {
-			return RoundResult{}, err
-		}
-		if steps >= d.budget {
-			return RoundResult{}, fmt.Errorf("%w (budget %d pulses)", ErrPulseBudget, d.budget)
-		}
-		d.s.Net.Step()
-	}
-	r := ref.resultRef(d.seen)
-	d.seen++
-
-	round := d.history.recorded()
-	var evs []Event
-	clockRecovered := d.lastPulse > 0 && r.Pulse-d.lastPulse > PulsesPerPlay(d.f)
-	if clockRecovered && d.hub.active() {
-		evs = append(evs, Event{
-			Kind:   EventClockRecovery,
-			Round:  round,
-			Pulse:  r.Pulse,
-			Detail: fmt.Sprintf("play completed after a %d-pulse gap (one period is %d)", r.Pulse-d.lastPulse, PulsesPerPlay(d.f)),
-		})
-	}
-	d.lastPulse = r.Pulse
-
-	// Per-agent cost of the agreed outcome on the elected game — the
-	// value the profit auditor compares across honest/deviant twins.
-	for i := 0; i < d.n; i++ {
-		d.costs[i] = d.g.Cost(i, r.Outcome)
-		d.cumCost[i] += d.costs[i]
-	}
-	d.result = RoundResult{
-		Round:     round,
-		Outcome:   r.Outcome,
-		Convicted: r.Guilty,
-		Excluded:  excludedIDs(d.before),
-		Costs:     d.costs,
-		Pulse:     r.Pulse,
-	}
-	d.fouls += len(r.Guilty)
-	res := d.history.record(&d.result)
-	newly := newlyExcluded(d.before, ref.Excluded)
-	d.convictions += len(newly)
-	if d.hub.active() {
-		evs = append(evs, playEvents(res, newly)...)
-		d.hub.emitAll(evs)
-	}
-	return res, nil
-}
-
-func (d *distDriver) Run(ctx context.Context, rounds int) (RoundResult, error) {
-	return runSession(ctx, d, rounds)
-}
-
-func (d *distDriver) Results() []RoundResult {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.history.snapshot()
-}
-
-func (d *distDriver) ResultAt(round int) (RoundResult, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	slot, ok := d.history.at(round)
-	if !ok {
-		return RoundResult{}, false
-	}
-	return view(slot), true
-}
-
-func (d *distDriver) Stats() SessionStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := SessionStats{
-		Kind:           KindDistributed,
-		Players:        d.n,
-		Rounds:         d.history.recorded(),
-		CumulativeCost: append([]float64(nil), d.cumCost...),
-		Fouls:          d.fouls,
-		Convictions:    d.convictions,
-		Pulses:         int64(d.s.Net.Stats.Pulses),
-		Messages:       d.s.Net.Stats.MessagesSent,
-	}
-	if len(d.s.Honest) > 0 {
-		st.Excluded = snapshotExcluded(d.n, d.s.Procs[d.s.Honest[0]].Excluded)
-	}
-	return st
-}
-
-func (d *distDriver) Subscribe(o Observer) func() { return d.hub.subscribe(o) }
-
-// Close finalizes the session and releases the pulse engine's worker pool.
-// Further plays fail with ErrClosed; Results, ResultAt and Stats keep
-// answering. Close is idempotent.
-func (d *distDriver) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.closed = true
-	d.s.Net.Close()
 	return nil
 }

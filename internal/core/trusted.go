@@ -18,17 +18,16 @@ import (
 // reuses the identical audit/punish logic at game-sweep speed.
 //
 // The play loop runs on per-session scratch buffers: an honest play of a
-// compiled game allocates nothing once a bounded history ring is warm
-// (the alloc_test regression pins this at 0 allocs/play).
+// compiled game allocates nothing (the alloc_test regression pins the
+// session built on it at 0 allocs/play once its bounded history is warm).
 type PureSession struct {
 	g      game.Game
 	agents []*Agent
 	scheme punish.Scheme
 	seed   uint64
 
-	round   int
-	prev    game.Profile // owned; re-filled in place every play
-	history historyRing
+	round int
+	prev  game.Profile // owned; re-filled in place every play
 
 	// cumulative per-agent cost over plays where the agent was active.
 	cumCost []float64
@@ -124,39 +123,8 @@ func NewPureSession(g game.Game, agents []*Agent, scheme punish.Scheme, seed uin
 	return s, nil
 }
 
-// SetHistoryLimit bounds the retained history to the most recent limit
-// plays (0 = unbounded, the default). It must be called before the first
-// play.
-func (s *PureSession) SetHistoryLimit(limit int) error {
-	if s.round > 0 {
-		return fmt.Errorf("%w: history limit must be set before the first play", ErrConfig)
-	}
-	if limit < 0 {
-		return fmt.Errorf("%w: negative history limit %d", ErrConfig, limit)
-	}
-	s.history.setLimit(limit)
-	return nil
-}
-
 // Round returns the number of completed plays.
 func (s *PureSession) Round() int { return s.round }
-
-// History returns deep copies of the retained round results (oldest
-// first); bounded sessions retain the most recent SetHistoryLimit plays.
-func (s *PureSession) History() []RoundResult {
-	return s.history.snapshot()
-}
-
-// ResultAt returns the play with absolute round index round, or false when
-// it was evicted from a bounded history (or not yet played). The result
-// aliases session-owned buffers — see RoundResult.
-func (s *PureSession) ResultAt(round int) (RoundResult, bool) {
-	slot, ok := s.history.at(round)
-	if !ok {
-		return RoundResult{}, false
-	}
-	return view(slot), true
-}
 
 // CumulativeCost returns agent i's total cost so far.
 func (s *PureSession) CumulativeCost(i int) float64 { return s.cumCost[i] }
@@ -179,7 +147,8 @@ func agentStreamState(seed uint64, agent, round int) uint64 {
 
 // PlayRound executes one full play of the protocol: choice → commitment →
 // reveal → audit → punish → publish. All working state lives in the
-// session scratch; see PureSession.
+// session scratch; see PureSession. The result aliases that scratch: it is
+// valid until the next play, so Clone it to retain it.
 func (s *PureSession) PlayRound() (RoundResult, error) {
 	n := s.g.NumPlayers()
 	ev := audit.PlayEvidence{
@@ -262,10 +231,9 @@ func (s *PureSession) PlayRound() (RoundResult, error) {
 		Excluded:  excluded,
 		Costs:     costs,
 	}
-	res := s.history.record(&s.scratch.result)
 	s.prev = append(s.prev[:0], outcome...)
 	s.round++
-	return res, nil
+	return s.scratch.result, nil
 }
 
 // prevFor returns the previous outcome to hand an agent's Choose hook: a
