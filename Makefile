@@ -211,15 +211,16 @@ deviation-matrix:
 deviation-matrix-short:
 	$(GO) test -run TestDeviationMatrix -short .
 
-# Fuzz smoke: replay the checked-in seed corpora, then give each HTTP
-# fuzz target a short live burst. Fails on panics/regressions, never on
-# not finding anything new.
+# Fuzz smoke: replay the checked-in seed corpora, then give each HTTP,
+# wire and EIG-absorb fuzz target a short live burst. Fails on
+# panics/regressions, never on not finding anything new.
 fuzz-smoke:
 	$(GO) test -run '^Fuzz' .
-	$(GO) test -run '^Fuzz' ./internal/wire
+	$(GO) test -run '^Fuzz' ./internal/wire ./internal/bap
 	$(GO) test -fuzz '^FuzzServerSessions$$' -fuzztime 5s -run '^Fuzz' .
 	$(GO) test -fuzz '^FuzzServerPlay$$' -fuzztime 5s -run '^Fuzz' .
 	$(GO) test -fuzz '^FuzzWireDecode$$' -fuzztime 5s -run '^Fuzz' ./internal/wire
+	$(GO) test -fuzz '^FuzzEIGAbsorb$$' -fuzztime 5s -run '^Fuzz' ./internal/bap
 
 # Coverage gate: the audited packages must keep ≥ 70% of statements
 # covered by the whole suite (merged -coverpkg profile; see

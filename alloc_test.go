@@ -2,6 +2,7 @@ package gameauthority_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	ga "gameauthority"
@@ -22,6 +23,11 @@ const (
 	mixedAllocBudget = 16
 	rraAllocBudget   = 62
 	distAllocBudget  = 124
+	// The wider committees of TestAllocsPerPlayDistributed, measured at
+	// 260 (n=7/f=2) and 461 (n=10/f=1) allocs per play and pinned at
+	// measured+10%, rounded up.
+	distAllocBudgetN7  = 286
+	distAllocBudgetN10 = 508
 	// playNOverheadBudget bounds the fixed cost of one PlayN call beyond
 	// its rounds' own budgets: the lock-once loop may allocate for its
 	// play closure but must not allocate per round, so a whole pure batch
@@ -125,30 +131,45 @@ func TestAllocsPerPlayRRA(t *testing.T) {
 	t.Logf("RRA play: %v allocs (budget %d)", allocs, rraAllocBudget)
 }
 
+// TestAllocsPerPlayDistributed pins a lockstep distributed play at each
+// committee size the byz-committee workload runs. The residue is
+// phase-boundary work, which grows with n (n-wide evidence vectors,
+// encodings and commitments); the per-pulse engine stays at zero.
 func TestAllocsPerPlayDistributed(t *testing.T) {
-	ctx := context.Background()
-	g4, err := ga.PublicGoods(4, 2)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		n, f   int
+		budget float64
+	}{
+		{4, 1, distAllocBudget},
+		{7, 2, distAllocBudgetN7},
+		{10, 1, distAllocBudgetN10},
+	} {
+		t.Run(fmt.Sprintf("n=%d/f=%d", tc.n, tc.f), func(t *testing.T) {
+			ctx := context.Background()
+			g, err := ga.PublicGoods(tc.n, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := ga.New(g, ga.WithDistributed(tc.n, tc.f, nil),
+				ga.WithPulseWorkers(1), // lockstep: measure protocol allocations, not scheduler noise
+				ga.WithSeed(1),
+				ga.WithHistoryLimit(16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.Run(ctx, 8); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := s.Play(ctx); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > tc.budget {
+				t.Fatalf("distributed play allocates %v times, budget %v", allocs, tc.budget)
+			}
+			t.Logf("distributed play: %v allocs (budget %v)", allocs, tc.budget)
+		})
 	}
-	s, err := ga.New(g4, ga.WithDistributed(4, 1, nil),
-		ga.WithPulseWorkers(1), // lockstep: measure protocol allocations, not scheduler noise
-		ga.WithSeed(1),
-		ga.WithHistoryLimit(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.Run(ctx, 8); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := s.Play(ctx); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > distAllocBudget {
-		t.Fatalf("distributed play allocates %v times, budget %d", allocs, distAllocBudget)
-	}
-	t.Logf("distributed play: %v allocs (budget %d)", allocs, distAllocBudget)
 }

@@ -12,6 +12,7 @@ package gameauthority_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	ga "gameauthority"
@@ -350,6 +351,49 @@ func BenchmarkDistributedPlay(b *testing.B) {
 	b.StopTimer()
 	if err := d.ConsistentResults(3); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkDistributedCrossover measures one distributed play on the
+// lockstep engine and on the worker pool at the committee sizes that
+// bracket the auto-width crossover (DESIGN.md §13). The pool row runs at
+// min(GOMAXPROCS, n) workers but never fewer than two, so it measures the
+// pool even on one core. pulse-work is n × EIG layout nodes, the quantity
+// the auto width compares against its crossover constant.
+func BenchmarkDistributedCrossover(b *testing.B) {
+	ctx := context.Background()
+	pool := max(runtime.GOMAXPROCS(0), 2)
+	for _, c := range []struct{ n, f int }{{4, 1}, {10, 1}, {7, 2}, {13, 1}, {8, 2}, {15, 1}, {16, 1}} {
+		for _, engine := range []struct {
+			name    string
+			workers int
+		}{{"lockstep", 1}, {"pool", min(pool, c.n)}} {
+			b.Run(fmt.Sprintf("n=%d/f=%d/%s", c.n, c.f, engine.name), func(b *testing.B) {
+				g, err := ga.PublicGoods(c.n, 2)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s, err := ga.New(g, ga.WithDistributed(c.n, c.f, nil),
+					ga.WithPulseWorkers(engine.workers), ga.WithSeed(1), ga.WithHistoryLimit(16))
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer s.Close()
+				if _, err := s.Run(ctx, 4); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := s.Play(ctx); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(c.n*bap.TreeNodes(c.n, c.f)), "pulse-work")
+				b.ReportMetric(float64(engine.workers), "workers")
+			})
+		}
 	}
 }
 

@@ -54,7 +54,7 @@ func main() {
 		"transport to drive: inproc, http, or ws (default: http when -http/-selfserve is set, else inproc)")
 	flag.IntVar(&cfg.conns, "conns", 16, "ws transport: number of multiplexed WebSocket connections")
 	flag.IntVar(&cfg.pulseWorkers, "pulse-workers", 0,
-		"distributed pulse engine width: 0 driver default, 1 lockstep, >1 worker pool (needs GOMAXPROCS>1 to pay off)")
+		"distributed pulse engine width: 0 driver default (lockstep below the n x EIG-nodes crossover, else a min(GOMAXPROCS, n) pool), 1 lockstep, >1 worker pool (needs GOMAXPROCS>1 to pay off)")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "root seed; session i uses seed+i")
 	flag.Float64Var(&cfg.deviants, "deviants", 0,
 		"fraction of sessions carrying one selfish deviant player (0..1); strategies rotate through the deviation catalog")

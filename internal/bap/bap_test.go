@@ -123,7 +123,7 @@ func TestEIGToleratesEquivocation(t *testing.T) {
 			if to%2 == 0 {
 				v = "y"
 			}
-			forged.Pairs[i] = Pair{Label: pr.Label, Val: v}
+			forged.Pairs[i] = Pair{Node: pr.Node, Val: v}
 		}
 		return forged
 	})}
@@ -148,7 +148,7 @@ func TestEIGSevenProcessorsTwoByzantine(t *testing.T) {
 			forged := pl
 			forged.Pairs = make([]Pair, len(pl.Pairs))
 			for i, pr := range pl.Pairs {
-				forged.Pairs[i] = Pair{Label: pr.Label, Val: Value(fmt.Sprintf("evil-%d", to))}
+				forged.Pairs[i] = Pair{Node: pr.Node, Val: Value(fmt.Sprintf("evil-%d", to))}
 			}
 			return forged
 		}),
@@ -179,7 +179,7 @@ func TestQuickEIGAgreementRandomByzantine(t *testing.T) {
 			forged := pl
 			forged.Pairs = make([]Pair, len(pl.Pairs))
 			for i, pr := range pl.Pairs {
-				forged.Pairs[i] = Pair{Label: pr.Label, Val: Value(fmt.Sprintf("r%d", src.Uint64()%5))}
+				forged.Pairs[i] = Pair{Node: pr.Node, Val: Value(fmt.Sprintf("r%d", src.Uint64()%5))}
 			}
 			return forged
 		})}

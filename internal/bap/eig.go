@@ -24,18 +24,20 @@ func Rounds(f int) int { return f + 1 }
 
 // eigLayout is the shared, immutable shape of the EIG tree for one (n, f)
 // pair: every distinct-processor label up to length f+1, enumerated level
-// by level in lexicographic order, with precomputed label strings, a
-// label→index map (string lookups on a prebuilt map do not allocate), and
-// per-node child tables. Building it costs one burst of allocations; it is
-// cached process-wide so every EIG instance at the same (n, f) shares it —
-// the instance state shrinks to flat value/seen arrays over these indices,
-// which is what makes the per-pulse protocol work allocation-free.
+// by level in lexicographic order, as integer node indices with per-node
+// parent and child tables. No label string is ever materialized: a node's
+// label is its path from the root, and everything the protocol asks of a
+// label (its level, whether it contains a processor, its child by one
+// more processor) is a table lookup. Building it costs one burst of
+// allocations; it is cached process-wide so every EIG instance at the
+// same (n, f) shares it — the instance state shrinks to flat value/seen
+// arrays over these indices, which is what makes the per-pulse protocol
+// work allocation-free.
 type eigLayout struct {
 	n, f       int
-	labels     []string         // node index → label path
-	index      map[string]int32 // label → node index
-	levelStart []int32          // level L occupies [levelStart[L], levelStart[L+1])
-	child      [][]int32        // node index → per-processor child index (-1: none)
+	levelStart []int32   // level L occupies [levelStart[L], levelStart[L+1])
+	parent     []int32   // node index → parent node index (-1 for the root)
+	child      [][]int32 // node index → per-processor child index (-1: none)
 }
 
 var layoutCache sync.Map // [2]int{n, f} → *eigLayout
@@ -51,51 +53,68 @@ func layoutFor(n, f int) *eigLayout {
 	return actual.(*eigLayout)
 }
 
+// TreeNodes returns the node count of the EIG tree at (n, f): the root
+// plus every distinct-processor label of length 1..f+1. n × TreeNodes is
+// the per-pulse work of one interactive-consistency processor set, which
+// the distributed driver uses to size its pulse engine.
+func TreeNodes(n, f int) int {
+	total, width := 1, 1
+	for lv := 1; lv <= f+1; lv++ {
+		width *= n - lv + 1
+		total += width
+	}
+	return total
+}
+
 // buildLayout enumerates the distinct-id labels level by level. Within a
 // level, parents are visited in index (= lexicographic) order and children
 // appended in processor order, so same-length labels are lexicographically
 // sorted by construction — RoundMessages inherits sortedness for free.
+// A parent level's child tables are complete before its children are
+// enumerated, which is all contains needs.
 func buildLayout(n, f int) *eigLayout {
-	lay := &eigLayout{n: n, f: f, index: make(map[string]int32)}
-	lay.labels = append(lay.labels, "")
-	lay.index[""] = 0
-	lay.levelStart = append(lay.levelStart, 0, 1)
-	for level := 0; level <= f; level++ {
-		for i := lay.levelStart[level]; i < lay.levelStart[level+1]; i++ {
-			label := lay.labels[i]
-			for j := 0; j < n; j++ {
-				if labelContains(label, j) {
-					continue
-				}
-				child := label + string(byte(j))
-				lay.index[child] = int32(len(lay.labels))
-				lay.labels = append(lay.labels, child)
-			}
-		}
-		lay.levelStart = append(lay.levelStart, int32(len(lay.labels)))
-	}
-	lay.child = make([][]int32, len(lay.labels))
-	flat := make([]int32, len(lay.labels)*n)
+	nodes := TreeNodes(n, f)
+	lay := &eigLayout{n: n, f: f, levelStart: []int32{0, 1}}
+	lay.parent = make([]int32, 1, nodes)
+	lay.parent[0] = -1
+	lay.child = make([][]int32, nodes)
+	flat := make([]int32, nodes*n)
 	for i := range flat {
 		flat[i] = -1
 	}
-	for i, label := range lay.labels {
-		lay.child[i] = flat[i*n : (i+1)*n]
-		if len(label) > f {
-			continue // leaves have no children
-		}
-		for j := 0; j < n; j++ {
-			if labelContains(label, j) {
-				continue
+	for i := range lay.child {
+		lay.child[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	}
+	for level := 0; level <= f; level++ {
+		start, end := lay.level(level)
+		for i := start; i < end; i++ {
+			for j := 0; j < n; j++ {
+				if lay.contains(i, j) {
+					continue
+				}
+				lay.child[i][j] = int32(len(lay.parent))
+				lay.parent = append(lay.parent, i)
 			}
-			lay.child[i][j] = lay.index[label+string(byte(j))]
 		}
+		lay.levelStart = append(lay.levelStart, int32(len(lay.parent)))
 	}
 	return lay
 }
 
+// contains reports whether node i's label includes processor j: either
+// the parent's label does (the parent has no j-child) or i is the parent's
+// j-child itself.
+func (l *eigLayout) contains(i int32, j int) bool {
+	p := l.parent[i]
+	if p < 0 {
+		return false
+	}
+	c := l.child[p][j]
+	return c < 0 || c == i
+}
+
 // nodes returns the total node count.
-func (l *eigLayout) nodes() int { return len(l.labels) }
+func (l *eigLayout) nodes() int { return len(l.parent) }
 
 // level returns the [start, end) node range of one tree level.
 func (l *eigLayout) level(lv int) (int32, int32) {
@@ -120,11 +139,13 @@ type EIG struct {
 	decision Value
 }
 
-// Pair is one EIG tree entry in transit: the label path and the value the
-// sender stores for it.
+// Pair is one EIG tree entry in transit: the sender's node index in the
+// shared (n, f) layout — which names the label path — and the value the
+// sender stores for it. Pairs only travel between instances of one
+// process; no wire, snapshot or journal format carries them.
 type Pair struct {
-	Label string
-	Val   Value
+	Node int32
+	Val  Value
 }
 
 // NewEIG creates processor id's state for one agreement on initial.
@@ -162,16 +183,6 @@ func (e *EIG) Reset(initial Value) {
 	e.set[0] = true
 }
 
-// labelContains reports whether the label path includes processor j.
-func labelContains(label string, j int) bool {
-	for i := 0; i < len(label); i++ {
-		if int(label[i]) == j {
-			return true
-		}
-	}
-	return false
-}
-
 // RoundMessages returns the pairs processor id must broadcast in the given
 // round (0-based): all tree nodes at level == round whose label does not
 // contain id, in label order. Every processor receives the same pairs
@@ -189,20 +200,21 @@ func (e *EIG) AppendRoundMessages(round int, dst []Pair) []Pair {
 	}
 	start, end := e.lay.level(round)
 	for i := start; i < end; i++ {
-		if !e.set[i] || labelContains(e.lay.labels[i], e.id) {
+		if !e.set[i] || e.lay.contains(i, e.id) {
 			continue
 		}
-		dst = append(dst, Pair{Label: e.lay.labels[i], Val: e.vals[i]})
+		dst = append(dst, Pair{Node: i, Val: e.vals[i]})
 	}
 	return dst
 }
 
 // MaxRoundPairs returns an upper bound on the pairs AppendRoundMessages
-// can produce in any single round — the widest tree level. Callers size
-// their reusable buffers with it.
+// can produce in any broadcast round 0..f — the widest of those tree
+// levels. The leaf level f+1 is never broadcast: EIG decides once round f
+// is absorbed. Callers size their reusable buffers with it.
 func (e *EIG) MaxRoundPairs() int {
 	max := 0
-	for lv := 0; lv < len(e.lay.levelStart)-1; lv++ {
+	for lv := 0; lv <= e.f; lv++ {
 		if w := int(e.lay.levelStart[lv+1] - e.lay.levelStart[lv]); w > max {
 			max = w
 		}
@@ -211,24 +223,22 @@ func (e *EIG) MaxRoundPairs() int {
 }
 
 // Absorb ingests the pairs received from processor `from` in the given
-// round: pair (L, v) becomes node L·from provided the label has the right
-// level and does not already contain `from`. First writer wins; labels
-// outside the distinct-processor tree (Byzantine garbage) are dropped.
+// round: pair (L, v) becomes node L·from provided L lies on the round's
+// tree level and does not already contain `from`. First writer wins; node
+// indices outside the level (Byzantine garbage) are dropped, as are
+// rounds outside 0..f+1 and senders outside 0..n-1.
 func (e *EIG) Absorb(round, from int, pairs []Pair) {
-	if from < 0 || from >= e.n {
+	if from < 0 || from >= e.n || round < 0 || round > e.f+1 {
 		return
 	}
+	start, end := e.lay.level(round)
 	for _, p := range pairs {
-		if len(p.Label) != round || labelContains(p.Label, from) {
+		if p.Node < start || p.Node >= end {
 			continue
 		}
-		idx, ok := e.lay.index[p.Label]
-		if !ok {
-			continue
-		}
-		child := e.lay.child[idx][from]
+		child := e.lay.child[p.Node][from]
 		if child < 0 || e.set[child] {
-			continue // leaf level, or first writer already won
+			continue // leaf level, label contains from, or first writer already won
 		}
 		e.vals[child] = p.Val
 		e.set[child] = true
@@ -332,12 +342,10 @@ func (e *EIG) Corrupt(entropy func() uint64) {
 	}
 	e.vals[0] = e.decision
 	e.set[0] = true
-	// A few arbitrary nodes.
+	// A few arbitrary level-1 nodes.
 	for i := uint64(0); i < entropy()%5; i++ {
-		j := byte(entropy() % uint64(e.n))
-		if idx, ok := e.lay.index[string(j)]; ok {
-			e.vals[idx] = Value(fmt.Sprintf("junk-%d", entropy()%31))
-			e.set[idx] = true
-		}
+		idx := e.lay.child[0][entropy()%uint64(e.n)]
+		e.vals[idx] = Value(fmt.Sprintf("junk-%d", entropy()%31))
+		e.set[idx] = true
 	}
 }

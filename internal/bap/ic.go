@@ -177,7 +177,8 @@ func (ic *IC) EndPulse(pulse int) ([]any, bool) {
 // broadcastRound gathers every instance's round messages into the slot's
 // arenas: pairs are appended to one shared arena and sub-sliced per
 // instance only once it is fully built, so arena growth (which should not
-// happen — the arena is pre-sized to the widest level) can never dangle.
+// happen — the arena is pre-sized to the widest broadcast level) can never
+// dangle.
 func (ic *IC) broadcastRound(round, slot int) []any {
 	pairs := ic.pairs[slot][:0]
 	for s, inst := range ic.insts {

@@ -1,6 +1,7 @@
 package bap
 
 import (
+	"fmt"
 	"testing"
 
 	"gameauthority/internal/auth"
@@ -8,55 +9,74 @@ import (
 
 // TestICEnginePhaseZeroAlloc is the hard per-pulse allocation gate for the
 // distributed driver's agreement engine: a complete warm interactive-
-// consistency phase — Reset, dissemination, every EIG round, decision — at
-// n=4/f=1 must not allocate at all, across all four processors. Any heap
-// traffic on this path multiplies by pulses × processors × plays, so the
-// budget is exactly zero, not "small".
+// consistency phase — Reset, dissemination, every EIG round, decision —
+// must not allocate at all, across all n processors, at every committee
+// shape the driver hosts. Any heap traffic on this path multiplies by
+// pulses × processors × plays, so the budget is exactly zero, not
+// "small". The pair arenas must also keep the capacity NewIC gave them:
+// AllocsPerRun rounds down, so an undersized arena that grows once per
+// slot would slip past the count but not past the capacity check.
 func TestICEnginePhaseZeroAlloc(t *testing.T) {
-	n, f := 4, 1
-	engines := make([]*IC, n)
-	for i := range engines {
-		e, err := NewIC(i, n, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[i] = e
-	}
-	vals := []Value{"alpha", "bravo", "charlie", "delta"}
-	lists := make([][]any, n)
-	pulse := 0
-	runPhase := func() {
-		for i, e := range engines {
-			e.Reset(vals[i])
-		}
-		for k := 0; k < TotalPulses(f); k++ {
-			for _, e := range engines {
-				for from := range engines {
-					for _, payload := range lists[from] {
-						e.Deliver(from, payload)
+	for _, c := range []struct{ n, f int }{{4, 1}, {7, 2}, {10, 1}} {
+		t.Run(fmt.Sprintf("n=%d/f=%d", c.n, c.f), func(t *testing.T) {
+			n, f := c.n, c.f
+			engines := make([]*IC, n)
+			vals := make([]Value, n)
+			arenas := make([][icSlabRounds]int, n)
+			for i := range engines {
+				e, err := NewIC(i, n, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				engines[i] = e
+				vals[i] = Value(fmt.Sprintf("value-%d", i))
+				for k := range e.pairs {
+					arenas[i][k] = cap(e.pairs[k])
+				}
+			}
+			lists := make([][]any, n)
+			pulse := 0
+			runPhase := func() {
+				for i, e := range engines {
+					e.Reset(vals[i])
+				}
+				for k := 0; k < TotalPulses(f); k++ {
+					for _, e := range engines {
+						for from := range engines {
+							for _, payload := range lists[from] {
+								e.Deliver(from, payload)
+							}
+						}
+					}
+					for i, e := range engines {
+						out, _ := e.EndPulse(pulse)
+						lists[i] = out
+					}
+					pulse++
+				}
+			}
+			runPhase() // warm: arenas are pre-sized, but the first phase proves it
+			for i, e := range engines {
+				if !e.Done() {
+					t.Fatalf("engine %d not done after %d pulses", i, TotalPulses(f))
+				}
+				for s, v := range e.VectorRef() {
+					if v != vals[s] {
+						t.Fatalf("engine %d vector[%d] = %q, want %q", i, s, v, vals[s])
 					}
 				}
 			}
+			if allocs := testing.AllocsPerRun(20, runPhase); allocs != 0 {
+				t.Fatalf("warm IC phase allocates %v times per phase, want 0", allocs)
+			}
 			for i, e := range engines {
-				out, _ := e.EndPulse(pulse)
-				lists[i] = out
+				for k := range e.pairs {
+					if got := cap(e.pairs[k]); got != arenas[i][k] {
+						t.Fatalf("engine %d pair arena %d grew from %d to %d", i, k, arenas[i][k], got)
+					}
+				}
 			}
-			pulse++
-		}
-	}
-	runPhase() // warm: arenas are pre-sized, but the first phase proves it
-	for i, e := range engines {
-		if !e.Done() {
-			t.Fatalf("engine %d not done after %d pulses", i, TotalPulses(f))
-		}
-		for s, v := range e.VectorRef() {
-			if v != vals[s] {
-				t.Fatalf("engine %d vector[%d] = %q, want %q", i, s, v, vals[s])
-			}
-		}
-	}
-	if allocs := testing.AllocsPerRun(20, runPhase); allocs != 0 {
-		t.Fatalf("warm IC phase allocates %v times per phase, want 0", allocs)
+		})
 	}
 }
 

@@ -61,11 +61,15 @@ func HonestPure(g game.Game, id int) *Agent {
 // EncodeProfile canonically encodes an action profile ("1,0,2"); -1 entries
 // (unknown actions) are preserved.
 func EncodeProfile(p game.Profile) string {
-	parts := make([]string, len(p))
+	var b strings.Builder
+	b.Grow(4 * len(p)) // action ids are small: strconv.Itoa does not allocate below 100
 	for i, a := range p {
-		parts[i] = strconv.Itoa(a)
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(a))
 	}
-	return strings.Join(parts, ",")
+	return b.String()
 }
 
 // DecodeProfile parses EncodeProfile output; n is the required arity.
@@ -73,29 +77,36 @@ func DecodeProfile(s string, n int) (game.Profile, error) {
 	if s == "" {
 		return nil, fmt.Errorf("%w: empty profile", ErrConfig)
 	}
-	parts := strings.Split(s, ",")
-	if len(parts) != n {
-		return nil, fmt.Errorf("%w: profile arity %d, want %d", ErrConfig, len(parts), n)
+	if k := strings.Count(s, ",") + 1; k != n {
+		return nil, fmt.Errorf("%w: profile arity %d, want %d", ErrConfig, k, n)
 	}
 	p := make(game.Profile, n)
-	for i, part := range parts {
+	for i := range p {
+		part, rest, _ := strings.Cut(s, ",")
 		a, err := strconv.Atoi(part)
 		if err != nil {
 			return nil, fmt.Errorf("%w: profile entry %q", ErrConfig, part)
 		}
-		p[i] = a
+		p[i], s = a, rest
 	}
 	return p, nil
 }
 
 // EncodeDigest hex-encodes a commitment digest.
 func EncodeDigest(d commit.Digest) string {
+	var b strings.Builder
+	b.Grow(2 * len(d))
+	writeHex(&b, d[:])
+	return b.String()
+}
+
+// writeHex appends the lower-case hex encoding of p to b.
+func writeHex(b *strings.Builder, p []byte) {
 	const hexdigits = "0123456789abcdef"
-	out := make([]byte, 0, 2*len(d))
-	for _, b := range d {
-		out = append(out, hexdigits[b>>4], hexdigits[b&0xf])
+	for _, x := range p {
+		b.WriteByte(hexdigits[x>>4])
+		b.WriteByte(hexdigits[x&0xf])
 	}
-	return string(out)
 }
 
 // DecodeDigest parses EncodeDigest output.
@@ -104,13 +115,8 @@ func DecodeDigest(s string) (commit.Digest, error) {
 	if len(s) != 2*len(d) {
 		return d, fmt.Errorf("%w: digest hex length %d", ErrConfig, len(s))
 	}
-	for i := 0; i < len(d); i++ {
-		hi, ok1 := unhex(s[2*i])
-		lo, ok2 := unhex(s[2*i+1])
-		if !ok1 || !ok2 {
-			return d, fmt.Errorf("%w: digest hex at %d", ErrConfig, i)
-		}
-		d[i] = hi<<4 | lo
+	if err := unhexInto(d[:], s); err != nil {
+		return commit.Digest{}, err
 	}
 	return d, nil
 }
@@ -129,54 +135,50 @@ func unhex(c byte) (byte, bool) {
 // EncodeOpening canonically encodes a commitment opening as
 // "<value-hex>|<nonce-hex>".
 func EncodeOpening(op commit.Opening) string {
-	const hexdigits = "0123456789abcdef"
-	enc := func(b []byte) string {
-		out := make([]byte, 0, 2*len(b))
-		for _, x := range b {
-			out = append(out, hexdigits[x>>4], hexdigits[x&0xf])
-		}
-		return string(out)
-	}
-	return enc(op.Value) + "|" + enc(op.Nonce[:])
+	var b strings.Builder
+	b.Grow(2*len(op.Value) + 1 + 2*len(op.Nonce))
+	writeHex(&b, op.Value)
+	b.WriteByte('|')
+	writeHex(&b, op.Nonce[:])
+	return b.String()
 }
 
 // DecodeOpening parses EncodeOpening output.
 func DecodeOpening(s string) (commit.Opening, error) {
 	var op commit.Opening
-	parts := strings.Split(s, "|")
-	if len(parts) != 2 {
-		return op, fmt.Errorf("%w: opening has %d segments", ErrConfig, len(parts))
+	if k := strings.Count(s, "|") + 1; k != 2 {
+		return op, fmt.Errorf("%w: opening has %d segments", ErrConfig, k)
 	}
-	value, err := unhexBytes(parts[0])
-	if err != nil {
+	hexValue, hexNonce, _ := strings.Cut(s, "|")
+	if len(hexNonce) != 2*commit.NonceSize {
+		return op, fmt.Errorf("%w: nonce hex length %d", ErrConfig, len(hexNonce))
+	}
+	var nonce [commit.NonceSize]byte
+	if err := unhexInto(nonce[:], hexNonce); err != nil {
 		return op, err
 	}
-	nonce, err := unhexBytes(parts[1])
-	if err != nil {
+	if len(hexValue)%2 != 0 {
+		return op, fmt.Errorf("%w: odd hex length", ErrConfig)
+	}
+	value := make([]byte, len(hexValue)/2)
+	if err := unhexInto(value, hexValue); err != nil {
 		return op, err
 	}
-	if len(nonce) != commit.NonceSize {
-		return op, fmt.Errorf("%w: nonce length %d", ErrConfig, len(nonce))
-	}
-	op.Value = value
-	copy(op.Nonce[:], nonce)
+	op.Value, op.Nonce = value, nonce
 	return op, nil
 }
 
-func unhexBytes(s string) ([]byte, error) {
-	if len(s)%2 != 0 {
-		return nil, fmt.Errorf("%w: odd hex length", ErrConfig)
-	}
-	out := make([]byte, len(s)/2)
-	for i := range out {
+// unhexInto decodes the 2·len(dst) hex digits of s into dst.
+func unhexInto(dst []byte, s string) error {
+	for i := range dst {
 		hi, ok1 := unhex(s[2*i])
 		lo, ok2 := unhex(s[2*i+1])
 		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("%w: bad hex", ErrConfig)
+			return fmt.Errorf("%w: bad hex", ErrConfig)
 		}
-		out[i] = hi<<4 | lo
+		dst[i] = hi<<4 | lo
 	}
-	return out, nil
+	return nil
 }
 
 // EncodeFoulSet canonically encodes the guilty agent ids ("1;3;4", "" for

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/hex"
 	"errors"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -100,6 +103,30 @@ func TestQuickProfileCodecTotal(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEncodersMatchReference pins the append-style encoders to the plain
+// formulations they replace: agreed values must stay byte-identical.
+func TestEncodersMatchReference(t *testing.T) {
+	profile := func(raw []int16) bool {
+		p := make(game.Profile, len(raw))
+		parts := make([]string, len(raw))
+		for i, r := range raw {
+			p[i] = int(r)
+			parts[i] = strconv.Itoa(int(r))
+		}
+		return EncodeProfile(p) == strings.Join(parts, ",")
+	}
+	opening := func(value []byte, nonce [commit.NonceSize]byte) bool {
+		op := commit.Opening{Value: value, Nonce: nonce}
+		return EncodeOpening(op) == hex.EncodeToString(value)+"|"+hex.EncodeToString(nonce[:])
+	}
+	digest := func(d commit.Digest) bool { return EncodeDigest(d) == hex.EncodeToString(d[:]) }
+	for _, f := range []any{profile, opening, digest} {
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

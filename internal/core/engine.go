@@ -6,6 +6,7 @@ import (
 	"runtime"
 
 	"gameauthority/internal/audit"
+	"gameauthority/internal/bap"
 	"gameauthority/internal/game"
 )
 
@@ -280,16 +281,33 @@ func newDistEngine(cfg SessionConfig, hub *observerHub) (*distEngine, error) {
 	if budget <= 0 {
 		budget = 50 * PulsesPerPlay(f)
 	}
-	workers := cfg.DistWorkers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0) // auto: use the cores we have
-	}
-	s.Net.SetWorkers(workers)
+	s.Net.SetWorkers(autoPulseWorkers(cfg.DistWorkers, n, f))
 	return &distEngine{
 		DistSession: s, g: cfg.Game, f: f, hub: hub, budget: budget,
 		costs:   make([]float64, n),
 		cumCost: make([]float64, n),
 	}, nil
+}
+
+// poolCrossover is the per-pulse work, n × EIG layout nodes, from which
+// the worker pool clearly beats lockstep on one session. Below it the
+// pool's per-pulse hand-off costs about as much as the work it spreads,
+// and under concurrent sessions it loses. DESIGN.md §13 has the
+// BenchmarkDistributedCrossover table and the byz-committee runs it was
+// read from.
+const poolCrossover = 3300
+
+// autoPulseWorkers resolves a DistWorkers setting to a pulse-engine width:
+// an explicit width stands; 0 picks lockstep below poolCrossover and a
+// GOMAXPROCS-wide pool from it on (the network clamps any width to n).
+func autoPulseWorkers(workers, n, f int) int {
+	if workers != 0 {
+		return workers
+	}
+	if n*bap.TreeNodes(n, f) < poolCrossover {
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // step steps the network until the reference honest processor completes

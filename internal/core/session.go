@@ -193,10 +193,11 @@ type SessionConfig struct {
 	// for a play to complete (0 = a generous default). Exhaustion returns
 	// ErrPulseBudget, which is recoverable: the next Play keeps stepping.
 	DistPulseBudget int
-	// DistWorkers selects the pulse engine: 0 = auto (parallel on
-	// min(GOMAXPROCS, n) workers when more than one core is available),
-	// 1 = the lockstep reference engine, w > 1 = a worker pool of that
-	// width. Both engines produce identical executions.
+	// DistWorkers selects the pulse engine: 0 = auto (lockstep while the
+	// per-pulse work n × EIG tree nodes is below poolCrossover, else a
+	// pool of min(GOMAXPROCS, n) workers), 1 = the lockstep reference
+	// engine, w > 1 = a worker pool of that width. Both engines produce
+	// identical executions.
 	DistWorkers int
 }
 

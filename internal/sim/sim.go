@@ -267,8 +267,10 @@ func (nw *Network) Step() {
 // pulse's processors on a persistent pool of min(w, n) workers; w == 1
 // pins the lockstep engine; w == 0 (the default) picks lockstep for Step
 // but lets StepConcurrent/RunConcurrent auto-size the pool to
-// min(GOMAXPROCS, n). Call before running; reconfiguring releases any
-// existing pool.
+// min(GOMAXPROCS, n). The network does not weigh per-pulse work: the
+// distributed driver resolves its own auto width (lockstep or pool, by a
+// measured crossover) and always passes an explicit w here. Call before
+// running; reconfiguring releases any existing pool.
 func (nw *Network) SetWorkers(w int) {
 	if w < 0 {
 		w = 0

@@ -119,7 +119,7 @@ func TestSSBAWithByzantineEquivocator(t *testing.T) {
 		msg.Tick = int(evil.Uint64() % 8)
 		forged := make([]bap.Pair, len(msg.Pairs))
 		for i, pr := range msg.Pairs {
-			forged[i] = bap.Pair{Label: pr.Label, Val: bap.Value(fmt.Sprintf("evil%d", to))}
+			forged[i] = bap.Pair{Node: pr.Node, Val: bap.Value(fmt.Sprintf("evil%d", to))}
 		}
 		msg.Pairs = forged
 		return msg

@@ -289,11 +289,13 @@ func WithPulseBudget(pulses int) Option {
 }
 
 // WithPulseWorkers selects the distributed session's pulse engine: 0 (the
-// default) parallelizes each pulse across min(GOMAXPROCS, n) workers when
-// more than one core is available; 1 pins the lockstep reference engine;
-// w > 1 forces a worker pool of that width. Both engines produce
-// identical executions — a property test proves it — so this is purely a
-// scheduling choice.
+// default) sizes it from the per-pulse work, n × EIG tree nodes — lockstep
+// below a measured crossover (n=4, n=10 and n=13 at f=1, n=7 and n=8 at
+// f=2 stay lockstep), and a pool of min(GOMAXPROCS, n) workers from it on
+// (n=15/f=1 and up); 1
+// pins the lockstep reference engine; w > 1 forces a worker pool of that
+// width. Both engines produce identical executions — a property test
+// proves it — so this is purely a scheduling choice.
 func WithPulseWorkers(workers int) Option {
 	return func(c *core.SessionConfig) { c.DistWorkers = workers }
 }

@@ -831,12 +831,6 @@ func handleEvents(h *HostedSession, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, fmt.Errorf("streaming unsupported"))
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, ": subscribed %s\n\n", h.ID())
-	flusher.Flush()
-
 	// Like Events, but counts overflow instead of dropping silently: a
 	// slow reader sees a "lag" event naming how many events it missed, so
 	// its view of the session is never wrong without it knowing.
@@ -869,6 +863,13 @@ func handleEvents(h *HostedSession, w http.ResponseWriter, r *http.Request) {
 		closed = true
 		mu.Unlock()
 	}()
+	// Announce the stream only once the observer is registered: a client
+	// that plays as soon as it reads this line must see those plays.
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	fmt.Fprintf(w, ": subscribed %s\n\n", h.ID())
+	flusher.Flush()
 
 	// Bound every write: a subscriber only buffers 256 events of lag, and
 	// one that cannot absorb a write within the deadline is truly dead —
