@@ -1,12 +1,11 @@
 GO ?= go
 
-.PHONY: ci fmt fmt-fix vet build test race bench bench-smoke \
-	loadgen loadgen-chaos loadgen-smoke docs-check fuzz-smoke \
-	deviation-matrix deviation-matrix-short cover-gate \
-	crash-bench crash-smoke ws-smoke loadgen-ws chaos-bench chaos-smoke \
-	batch-bench batch-smoke dist-bench dist-smoke obs-bench obs-smoke layer-check clean
+.PHONY: ci fmt fmt-fix vet build test race bench bench-smoke benchmark-module \
+	loadgen-smoke docs-check fuzz-smoke deviation-matrix deviation-matrix-short \
+	cover-gate crash-smoke ws-smoke chaos-smoke batch-smoke dist-smoke obs-smoke \
+	layer-check clean
 
-ci: fmt vet build layer-check test race bench-smoke loadgen-smoke crash-smoke \
+ci: fmt vet build layer-check test race bench-smoke benchmark-module loadgen-smoke crash-smoke \
 	ws-smoke chaos-smoke batch-smoke dist-smoke obs-smoke docs-check fuzz-smoke deviation-matrix-short cover-gate
 
 fmt:
@@ -52,29 +51,22 @@ layer-check:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# The tracked baseline: per-driver play benchmarks with -benchmem, parsed
-# into BENCH_PR2.json (ns/play, B/play, allocs/play per driver). Commit the
-# artifact so future PRs have a trajectory to beat.
+# benchmark/ is a module of its own, so the root go test ./... never builds
+# it: vet and test it here so an API change cannot break `make bench`
+# unnoticed.
+benchmark-module:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
+# The one measurement entry point: every workload BENCHMARK.json declares,
+# run once through benchmark/run.sh (seed 1, 20 s, tracing off). Each run
+# checks its own correctness and prints the end-to-end metrics as its last
+# JSON line; benchmark/WORKLOADS.md says how to read them and how to
+# compare two commits (repeated paired runs, never one).
 bench:
-	$(GO) test -run '^$$' -bench '^BenchmarkPlay' -benchmem -benchtime 2000x -count 1 . \
-		| $(GO) run ./cmd/benchfmt -out BENCH_PR2.json
-
-# The many-session load harness: 1000 concurrent sessions across the full
-# scenario mix and all four drivers, both in-process and (selfserve) over
-# HTTP; the in-process run is the tracked BENCH_PR3.json artifact. See
-# DESIGN.md §7 for how to read it.
-loadgen:
-	( $(GO) run ./cmd/loadgen -sessions 1000 -plays 20; \
-	  $(GO) run ./cmd/loadgen -sessions 200 -plays 8 -obs ) \
-		| $(GO) run ./cmd/benchfmt -command "make loadgen" -out BENCH_PR3.json
-
-# The chaos run: the same 1000 sessions with 20% deviant sessions
-# (strategies rotating through the deviation catalog) and wire-level
-# adversaries on distributed sessions; the artifact tracks throughput
-# under attack plus detection/conviction rates. See DESIGN.md §8.
-loadgen-chaos:
-	$(GO) run ./cmd/loadgen -sessions 1000 -plays 20 -deviants 0.2 -chaos \
-		| $(GO) run ./cmd/benchfmt -command "make loadgen-chaos" -out BENCH_PR4.json
+	@set -e; for w in $$(sed -n '/"workloads"/,/]/s/^ *"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json); do \
+		echo "bench: $$w"; bash benchmark/run.sh --workload $$w --seed 1 --seconds 20 --trace 0; \
+	done
 
 # CI-sized loadgen: exercises every scenario, every driver, and both
 # transports; fails on harness errors, never on timing.
@@ -89,44 +81,12 @@ loadgen-smoke:
 ws-smoke:
 	$(GO) run ./cmd/loadgen -transport ws -selfserve -sessions 64 -plays 4 -conns 4 > /dev/null
 
-# The streaming-scale run (DESIGN.md §10): 100k concurrent sessions
-# multiplexed over 64 WebSocket connections into a sharded authority; the
-# tracked BENCH_PR6.json artifact records the WS-vs-HTTP throughput and
-# latency split.
-loadgen-ws:
-	$(GO) run ./cmd/loadgen -transport ws -selfserve -sessions 100000 -plays 4 -conns 64 \
-		| $(GO) run ./cmd/benchfmt -command "make loadgen-ws" -out BENCH_PR6.json
-
-# The fault-injection acceptance harness (DESIGN.md §11): deterministic
-# disk and network chaos around the streaming transport, with self-healing
-# clients. Each run asserts zero verdict loss and digest-identical final
-# state against a fault-free twin; the tracked BENCH_PR7.json artifact
-# records throughput and healing counters at 0%, 5%, and 20% fault rates.
-chaos-bench:
-	( $(GO) run ./cmd/loadgen -sessions 48 -plays 8 -conns 4 -seed 1 -chaos-disk 0 -chaos-net 0; \
-	  $(GO) run ./cmd/loadgen -sessions 48 -plays 8 -conns 4 -seed 1 -chaos-disk 0.05 -chaos-net 0.05; \
-	  $(GO) run ./cmd/loadgen -sessions 48 -plays 8 -conns 4 -seed 1 -chaos-disk 0.2 -chaos-net 0.2 ) \
-		| $(GO) run ./cmd/benchfmt -command "make chaos-bench" -out BENCH_PR7.json
-
 # CI-sized chaos smoke: one run at a 5% disk + 5% net fault rate; fails
 # on any verdict loss, digest mismatch, or unhealed connection, never on
 # timing.
 chaos-smoke:
 	$(GO) run ./cmd/loadgen -sessions 24 -plays 6 -conns 4 -seed 1 -chaos-disk 0.05 -chaos-net 0.05 > /dev/null
 	$(GO) run ./cmd/loadgen -sessions 24 -plays 6 -conns 4 -seed 1 -chaos-disk 0.2 -chaos-net 0 -batch 3 > /dev/null
-
-# The durability-tax benchmark (DESIGN.md §12): the same 300-session
-# scenario mix volatile, durable with batched plays + WAL group commit at
-# an equal shape, and durable through a crash/recover cycle. The tracked
-# BENCH_PR8.json artifact asserts the headline: durable batched throughput
-# stays within 2x of the volatile baseline.
-batch-bench:
-	@dir=$$(mktemp -d); \
-	( $(GO) run ./cmd/loadgen -sessions 300 -plays 24 -seed 1; \
-	  $(GO) run ./cmd/loadgen -sessions 300 -plays 24 -batch 24 -data-dir $$dir -seed 1; \
-	  $(GO) run ./cmd/loadgen -sessions 300 -plays 12 -batch 6 -crash 1 -seed 1 ) \
-		| $(GO) run ./cmd/benchfmt -command "make batch-bench" -out BENCH_PR8.json; \
-	status=$$?; rm -rf $$dir; exit $$status
 
 # CI-sized batch smoke: the PlayN equivalence battery (every catalog game
 # x four drivers x Mem/File stores), crash-mid-batch recovery, the fsync
@@ -153,28 +113,6 @@ dist-smoke:
 	$(GO) run ./cmd/loadgen -sessions 12 -plays 8 -seed 1 -mix "$(DIST_MIX)" > /dev/null
 	$(GO) run ./cmd/loadgen -sessions 12 -plays 8 -seed 1 -pulse-workers 2 -mix "$(DIST_MIX)" > /dev/null
 
-# The distributed-pulse benchmark (DESIGN.md §13): the Byzantine scenario
-# rows at an equal shape on the lockstep engine and on the worker-pool
-# engine under GOMAXPROCS=4. The tracked BENCH_PR9.json artifact keeps the
-# single- and multi-core rows distinct via the /pulse-workers label; on a
-# single-hardware-core host the worker-pool row measures its scheduling
-# overhead honestly rather than a speedup.
-dist-bench:
-	( $(GO) run ./cmd/loadgen -sessions 24 -plays 16 -seed 1 -mix "$(DIST_MIX)"; \
-	  GOMAXPROCS=4 $(GO) run ./cmd/loadgen -sessions 24 -plays 16 -seed 1 -pulse-workers 4 -mix "$(DIST_MIX)" ) \
-		| $(GO) run ./cmd/benchfmt -command "make dist-bench" -out BENCH_PR9.json
-
-# The observability-overhead benchmark (DESIGN.md §14): the dist-bench
-# Byzantine rows re-run with the full metrics plane compiled in and
-# tracing disabled, plus an /obs row carrying the server-side histogram
-# percentiles next to the client-side numbers. The tracked
-# BENCH_PR10.json artifact is read against BENCH_PR9.json: equal-shape
-# rows must stay within 5% plays/s.
-obs-bench:
-	( $(GO) run ./cmd/loadgen -sessions 24 -plays 16 -seed 1 -mix "$(DIST_MIX)"; \
-	  $(GO) run ./cmd/loadgen -sessions 24 -plays 16 -seed 1 -obs -mix "$(DIST_MIX)" ) \
-		| $(GO) run ./cmd/benchfmt -command "make obs-bench" -out BENCH_PR10.json
-
 # CI-sized observability smoke (DESIGN.md §14): obssmoke scrapes
 # /metrics under real load and asserts every histogram and gauge family
 # renders, parses, and is internally consistent, then captures one
@@ -185,14 +123,6 @@ obs-bench:
 obs-smoke:
 	$(GO) run ./cmd/obssmoke
 	$(GO) run ./cmd/metriclint
-
-# The crash/recovery harness (DESIGN.md §9): a durable loadgen run that
-# SIGKILL-drops the authority mid-run and recovers every session from the
-# write-ahead log, twice. The artifact tracks durable throughput plus the
-# recovered-session count and replay lag per cycle.
-crash-bench:
-	$(GO) run ./cmd/loadgen -sessions 300 -plays 12 -crash 2 \
-		| $(GO) run ./cmd/benchfmt -command "make crash-bench" -out BENCH_PR5.json
 
 # CI-sized crash smoke: every scenario family and driver crosses one
 # crash/recover cycle; fails on any lost or diverging session, never on
@@ -245,10 +175,19 @@ clean:
 	$(GO) clean ./...
 
 # Every internal package must carry a package comment (the godoc story of
-# DESIGN.md §1); CI fails when one goes missing.
+# DESIGN.md §1), and every `make <target>` that README.md, DESIGN.md, the
+# verify skill or the CI workflow names (in backticks, in parentheses, or
+# as a run: step) must be a target this Makefile defines. CI fails on
+# either.
 docs-check:
 	@missing=0; for d in internal/*/; do \
 		grep -q '^// Package ' $$d*.go || { echo "docs-check: $$d lacks a package comment"; missing=1; }; \
 	done; \
+	defined=$$(sed -n 's/^\([a-z][a-z0-9-]*\):.*/\1/p' Makefile); \
+	for f in README.md DESIGN.md .claude/skills/verify/SKILL.md .github/workflows/ci.yml; do \
+		for t in $$(grep -oE '(`|\(|run: )make [a-z][a-z0-9-]*' $$f | sed 's/.*make //' | sort -u); do \
+			echo "$$defined" | grep -qx "$$t" || { echo "docs-check: $$f names make $$t, which the Makefile does not define"; missing=1; }; \
+		done; \
+	done; \
 	if [ $$missing -ne 0 ]; then exit 1; fi; \
-	echo "docs-check: every internal package carries a package comment"
+	echo "docs-check: every internal package carries a package comment; every documented make target exists"

@@ -12,9 +12,10 @@ import (
 // driver's budget is the headline: a fully audited play — choice,
 // commitment, reveal, SHA-256 verification, best-response audit,
 // publication, history recording — without a single heap allocation. The
-// other budgets are pinned at measured+10% (mixed 14, RRA 56, distributed
-// 112 as of the PR 9 arena work) so a real regression trips the gate
-// instead of drifting inside slack. The distributed residue is entirely
+// other budgets are pinned at measured+10%, rounded up (mixed 14, RRA 56,
+// distributed 60 at n=4 since the right-sized agreement layer) so a real
+// regression trips the gate instead of drifting inside slack. The
+// distributed residue is entirely
 // phase-boundary work — evidence encode/decode, commitments, the retained
 // outcome profile — while the per-pulse engine itself is allocation-free
 // (see TestICEnginePhaseZeroAlloc in internal/bap).
@@ -22,12 +23,12 @@ const (
 	pureAllocBudget  = 0
 	mixedAllocBudget = 16
 	rraAllocBudget   = 62
-	distAllocBudget  = 124
+	distAllocBudget  = 66
 	// The wider committees of TestAllocsPerPlayDistributed, measured at
-	// 260 (n=7/f=2) and 461 (n=10/f=1) allocs per play and pinned at
+	// 127 (n=7/f=2) and 211 (n=10/f=1) allocs per play and pinned at
 	// measured+10%, rounded up.
-	distAllocBudgetN7  = 286
-	distAllocBudgetN10 = 508
+	distAllocBudgetN7  = 140
+	distAllocBudgetN10 = 233
 	// playNOverheadBudget bounds the fixed cost of one PlayN call beyond
 	// its rounds' own budgets: the lock-once loop may allocate for its
 	// play closure but must not allocate per round, so a whole pure batch

@@ -1,8 +1,8 @@
-// Per-driver play benchmarks: the tracked performance baseline of the
-// middleware hot path. `make bench` runs exactly these (with -benchmem)
-// and persists the results to BENCH_PR2.json so future changes have a
-// trajectory to beat; see DESIGN.md §"Performance model" for how to read
-// the artifact. The experiment-level benchmarks live in bench_test.go.
+// Per-driver play benchmarks: the layer microbenchmarks of the
+// middleware hot path (run them with -benchmem; `make bench-smoke` runs
+// each once). The end-to-end workloads live in benchmark/ (`make bench`);
+// see DESIGN.md §5 for how the two relate. The experiment-level
+// benchmarks live in bench_test.go.
 package gameauthority_test
 
 import (

@@ -13,14 +13,11 @@
 //     over the JSON API (-selfserve starts a loopback server in-process,
 //     so the HTTP path is measurable hermetically).
 //
-// Output is go-bench formatted on stdout so it pipes straight into
-// cmd/benchfmt for the tracked artifact:
-//
-//	go run ./cmd/loadgen | go run ./cmd/benchfmt -command "make loadgen" -out BENCH_PR3.json
-//
-// `make loadgen` is the canonical invocation (1000 sessions); `make
-// loadgen-smoke` is the CI-sized variant. See DESIGN.md §7 for how to
-// read the numbers.
+// Output is go-bench formatted on stdout, one row per scenario plus a
+// /total row, and a human summary on stderr. It is a correctness harness
+// first (CI runs it in `make loadgen-smoke` and the other *-smoke
+// targets); the repeated, layer-attributed measurements live in
+// benchmark/ (`make bench`). See DESIGN.md §7 for how to read a row.
 package main
 
 import (
@@ -68,8 +65,6 @@ func main() {
 		"chaos acceptance mode: seeded disk-fault rate in [0,1] injected under the store (setting this flag, even to 0, switches to the chaos harness)")
 	flag.Float64Var(&cfg.chaosNet, "chaos-net", 0,
 		"chaos acceptance mode: seeded network-fault rate in [0,1] injected under every client connection (setting this flag, even to 0, switches to the chaos harness)")
-	flag.BoolVar(&cfg.obs, "obs", false,
-		"report server-side play-latency percentiles from the observability histograms next to the client-side numbers (in-process and -selfserve runs share the process with the server)")
 	flag.Parse()
 	// Setting either chaos rate — including explicitly to 0, for the
 	// fault-free baseline row — selects the acceptance harness.
@@ -104,11 +99,8 @@ type config struct {
 	// pulseWorkers overrides the distributed sessions' pulse engine width
 	// (0 keeps the driver default).
 	pulseWorkers int
-	// obs reports server-side latency percentiles from the in-process
-	// observability histograms alongside the client-side numbers.
-	obs  bool
-	out  io.Writer // bench lines (stdout in main)
-	info io.Writer // human summary (stderr in main)
+	out          io.Writer // bench lines (stdout in main)
+	info         io.Writer // human summary (stderr in main)
 }
 
 func defaultConfig() config {
@@ -559,7 +551,7 @@ func run(cfg config) error {
 	defer tr.shutdown()
 
 	// Row names carry the write-path shape so volatile, durable, and
-	// durable-batched runs land as distinct rows in one BENCH artifact.
+	// durable-batched runs print distinct rows.
 	label := "Loadgen/transport=" + tmode
 	if durable {
 		label += "/durable"
@@ -569,9 +561,6 @@ func run(cfg config) error {
 	}
 	if cfg.pulseWorkers > 0 {
 		label += fmt.Sprintf("/pulse-workers=%d", cfg.pulseWorkers)
-	}
-	if cfg.obs {
-		label += "/obs"
 	}
 
 	counts := sessionCounts(mix, cfg.sessions)
@@ -767,30 +756,15 @@ func run(cfg config) error {
 		createDur.Round(time.Millisecond), playDur.Round(time.Millisecond),
 		float64(len(all))/playDur.Seconds())
 
-	// Bench names carry the transport label so WS-vs-HTTP runs land as
-	// separate rows with their own p50/p99 split in the BENCH_*.json
-	// artifacts.
+	// Bench names carry the transport label so WS-vs-HTTP runs print
+	// separate rows. A scenario's plays share one window with every other
+	// scenario's, so only the /total row reports throughput.
 	fmt.Fprintf(cfg.out, "goos: %s\ngoarch: %s\n", runtime.GOOS, runtime.GOARCH)
 	for i, sc := range mix {
 		writeBenchLine(cfg.out, label+"/scenario="+sc.name+"/driver="+sc.driver,
-			perScenario[i], sessionsPer[i], playDur)
+			perScenario[i], sessionsPer[i], 0)
 	}
 	writeBenchLine(cfg.out, label+"/total", all, len(slots), playDur)
-	if cfg.obs {
-		// Server-side view of the same run: the driver-level play-latency
-		// histograms /metrics exposes, read in-process. A remote -http
-		// target records into its own process, so nothing shows up here.
-		p50, n := ga.PlayLatencyQuantile(0.50)
-		p99, _ := ga.PlayLatencyQuantile(0.99)
-		if n == 0 {
-			fmt.Fprintln(cfg.info, "loadgen: -obs: no server-side play latency in this process (a remote -http target records into its own)")
-		} else {
-			fmt.Fprintf(cfg.info, "loadgen: server-side play latency over %d plays: p50 %v, p99 %v\n",
-				n, time.Duration(p50*1e9).Round(time.Microsecond), time.Duration(p99*1e9).Round(time.Microsecond))
-			fmt.Fprintf(cfg.out, "Benchmark%s/server-%d\t%d\t%.0f ns/op\t%.0f p50-ns/op\t%.0f p99-ns/op\n",
-				label, runtime.GOMAXPROCS(0), n, p50*1e9, p50*1e9, p99*1e9)
-		}
-	}
 	if deviantSessions > 0 {
 		detectionRate := float64(detected) / float64(deviantSessions)
 		convictionRate := float64(convicted) / float64(deviantSessions)
@@ -848,9 +822,9 @@ func deviantNames() []string {
 }
 
 // writeBenchLine emits one go-bench formatted line: iterations = plays,
-// ns/op = mean latency, plus plays/s throughput over the concurrent play
-// window, latency percentiles, and the session count as custom metrics —
-// exactly what cmd/benchfmt parses into the BENCH_*.json artifact.
+// ns/op = mean latency, then latency percentiles and the session count as
+// custom metrics. A non-zero window adds plays/s over it; only a row that
+// owns the whole play window (a /total row) passes one.
 func writeBenchLine(w io.Writer, name string, lat []float64, sessions int, window time.Duration) {
 	if len(lat) == 0 {
 		return
@@ -859,9 +833,11 @@ func writeBenchLine(w io.Writer, name string, lat []float64, sessions int, windo
 	// place spares one copy of the full sample per row.
 	sort.Float64s(lat)
 	s := metrics.SummarizeSorted(lat)
-	fmt.Fprintf(w, "Benchmark%s-%d\t%d\t%.0f ns/op\t%.1f plays/s\t%.0f p50-ns/op\t%.0f p99-ns/op\t%d sessions\n",
-		name, runtime.GOMAXPROCS(0), s.N, s.Mean,
-		float64(s.N)/window.Seconds(), s.P50, s.P99, sessions)
+	fmt.Fprintf(w, "Benchmark%s-%d\t%d\t%.0f ns/op", name, runtime.GOMAXPROCS(0), s.N, s.Mean)
+	if window > 0 {
+		fmt.Fprintf(w, "\t%.1f plays/s", float64(s.N)/window.Seconds())
+	}
+	fmt.Fprintf(w, "\t%.0f p50-ns/op\t%.0f p99-ns/op\t%d sessions\n", s.P50, s.P99, sessions)
 }
 
 func firstError(errCh chan error) error {

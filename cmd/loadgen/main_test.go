@@ -95,17 +95,17 @@ func TestSessionCountsExactAndPositive(t *testing.T) {
 	}
 }
 
-// benchLine is cmd/benchfmt's parser pattern; loadgen's output must stay
-// machine-readable by it.
+// benchLine is the go-bench result line shape: name, optional
+// GOMAXPROCS suffix, iterations, then value/unit pairs.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(-\d+)?\s+(\d+)\s+(.*)$`)
 
-func TestWriteBenchLineParseableByBenchfmt(t *testing.T) {
+func TestWriteBenchLineGoBenchFormat(t *testing.T) {
 	var buf bytes.Buffer
-	writeBenchLine(&buf, "Loadgen/scenario=x/driver=pure", []float64{100, 200, 300}, 2, time.Second)
+	writeBenchLine(&buf, "Loadgen/total", []float64{100, 200, 300}, 2, time.Second)
 	line := strings.TrimSuffix(buf.String(), "\n")
 	m := benchLine.FindStringSubmatch(line)
 	if m == nil {
-		t.Fatalf("bench line %q does not match benchfmt's pattern", line)
+		t.Fatalf("bench line %q is not go-bench formatted", line)
 	}
 	if m[3] != "3" {
 		t.Fatalf("iterations = %s, want 3 plays", m[3])
@@ -114,6 +114,13 @@ func TestWriteBenchLineParseableByBenchfmt(t *testing.T) {
 		if !strings.Contains(m[4], unit) {
 			t.Fatalf("bench line %q misses unit %s", line, unit)
 		}
+	}
+	// Without a window (a per-scenario row) there is no throughput column.
+	buf.Reset()
+	writeBenchLine(&buf, "Loadgen/scenario=x/driver=pure", []float64{100, 200, 300}, 2, 0)
+	if line := buf.String(); benchLine.FindStringSubmatch(strings.TrimSuffix(line, "\n")) == nil ||
+		strings.Contains(line, "plays/s") || !strings.Contains(line, "p50-ns/op") {
+		t.Fatalf("windowless bench line %q: want go-bench latency columns and no plays/s", line)
 	}
 	// Empty samples must emit nothing rather than a 0-iteration line.
 	buf.Reset()
@@ -143,6 +150,12 @@ func TestRunInProcessMini(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(got), "\n") {
 		if strings.HasPrefix(line, "Benchmark") && benchLine.FindStringSubmatch(line) == nil {
 			t.Fatalf("unparseable bench line %q", line)
+		}
+		// A scenario's plays share the run's window, so its rows carry
+		// latency only; throughput is the /total row's.
+		if strings.Contains(line, "/scenario=") && strings.Contains(line, "plays/s") ||
+			strings.Contains(line, "/total-") && !strings.Contains(line, "plays/s") {
+			t.Fatalf("plays/s belongs on the /total row only: %q", line)
 		}
 	}
 }
@@ -181,7 +194,7 @@ func TestRunWSMini(t *testing.T) {
 
 // TestRunPulseWorkersMini drives every distributed scenario through the
 // worker-pool pulse engine and pins the /pulse-workers row label that
-// keeps multi-core rows distinct in the BENCH artifacts.
+// keeps multi-core rows distinct.
 func TestRunPulseWorkersMini(t *testing.T) {
 	var out bytes.Buffer
 	cfg := config{sessions: 16, plays: 2, seed: 17, pulseWorkers: 2, out: &out, info: io.Discard}
@@ -229,7 +242,7 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 // TestRunCrashMini drives the durable harness through two SIGKILL-style
 // crash/recover cycles at CI size: every scenario family and driver must
 // be recovered from the write-ahead log with nothing lost, and the crash
-// bench line must stay benchfmt-parseable.
+// bench line must stay go-bench formatted.
 func TestRunCrashMini(t *testing.T) {
 	var out bytes.Buffer
 	cfg := config{sessions: 16, plays: 4, seed: 7, crash: 2, deviants: 0.25, out: &out, info: io.Discard}

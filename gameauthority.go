@@ -88,14 +88,6 @@ func WriteTrace(w io.Writer) error { return obs.DefaultTracer.WriteJSON(w) }
 // GET /metrics appends after the host counters.
 func WriteObsMetrics(w io.Writer) error { return obs.Default.WritePrometheus(w) }
 
-// PlayLatencyQuantile reports the q-quantile (0..1) of the server-side
-// play latency histogram merged across drivers, plus the number of
-// recorded plays. It returns (0, 0) before any play has been recorded.
-func PlayLatencyQuantile(q float64) (seconds float64, count uint64) {
-	ns, n := obs.Default.HistogramQuantile("gameauthority_play_latency_seconds", q)
-	return ns / 1e9, n
-}
-
 // --- Strategic-form games ----------------------------------------------------
 
 // Game is a finite strategic-form game with cost functions that agents

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"gameauthority/internal/bap"
 	"gameauthority/internal/prng"
 	"gameauthority/internal/sim"
 )
@@ -154,5 +155,24 @@ func TestAutoPulseWorkers(t *testing.T) {
 		if got := autoPulseWorkers(c.workers, c.n, c.f); got != c.want {
 			t.Errorf("autoPulseWorkers(%d, n=%d, f=%d) = %d, want %d", c.workers, c.n, c.f, got, c.want)
 		}
+	}
+}
+
+// TestDistEIGNodes pins the agreement-state count against bap.TreeNodes
+// on shapes inside the budget, and its saturation on shapes beyond it,
+// including ones whose level widths would overflow int.
+func TestDistEIGNodes(t *testing.T) {
+	for _, c := range []struct{ n, f int }{{4, 1}, {7, 2}, {10, 1}, {10, 2}, {16, 1}, {16, 2}, {31, 1}, {4, 5}} {
+		if got, want := distEIGNodes(c.n, c.f), c.n*c.n*bap.TreeNodes(c.n, c.f); got != want || got > maxDistEIGNodes {
+			t.Errorf("distEIGNodes(%d, %d) = %d, want %d within the budget", c.n, c.f, got, want)
+		}
+	}
+	for _, c := range []struct{ n, f int }{{32, 1}, {13, 3}, {16, 5}, {64, 21}, {1 << 40, 1}} {
+		if got := distEIGNodes(c.n, c.f); got != maxDistEIGNodes+1 {
+			t.Errorf("distEIGNodes(%d, %d) = %d, want saturation at %d", c.n, c.f, got, maxDistEIGNodes+1)
+		}
+	}
+	if got := distEIGNodes(0, 1); got != 0 {
+		t.Errorf("distEIGNodes(0, 1) = %d, want 0", got)
 	}
 }

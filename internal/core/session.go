@@ -249,11 +249,50 @@ var configRules = []struct {
 		func(c SessionConfig) bool { return c.DistWorkers != 0 }, "pulse workers apply to distributed sessions"},
 	{[]SessionKind{KindDistributed},
 		func(c SessionConfig) bool { return c.DistWorkers < 0 }, "negative pulse workers"},
+	// Checked before the engine builds its processors or the process-wide
+	// EIG layout cache sees the shape.
+	{[]SessionKind{KindDistributed},
+		func(c SessionConfig) bool { return distEIGNodes(c.DistProcs, c.DistFaults) > maxDistEIGNodes },
+		fmt.Sprintf("distributed n and f exceed the agreement-state budget (n² × EIG tree nodes above %d)", maxDistEIGNodes)},
 	// A network adversary alone selects the distributed kind; name the real
 	// mistake instead of failing the engine's n > 3f arithmetic.
 	{[]SessionKind{KindDistributed},
 		func(c SessionConfig) bool { return c.DistProcs == 0 && c.DistByz != nil },
 		"network adversaries require a distributed session (combine WithNetworkAdversary with WithDistributed)"},
+}
+
+// maxDistEIGNodes bounds a distributed session's agreement state: its EIG
+// node count, n² × bap.TreeNodes(n, f) (n processors, each running one EIG
+// instance per interactive-consistency source). A node costs about 45 B
+// (value, resolve scratch and presence flag, plus its share of the pair
+// arenas; measured at n=10/f=2 and n=13/f=2), so the budget is about
+// 48 MB per session. Every shape the repository builds fits with room
+// (the largest, n=10/f=2 and n=16/f=1, are 82,100 and 65,792 nodes; the
+// budget still admits n=16/f=2 at 925,952); n=16/f=5 would need
+// 1.6 × 10⁹ nodes, about 70 GB.
+const maxDistEIGNodes = 1 << 20
+
+// distEIGNodes returns n² × bap.TreeNodes(n, f), saturating at
+// maxDistEIGNodes+1: the tree's level widths ∏(n−i) overflow int long
+// before f reaches n.
+func distEIGNodes(n, f int) int {
+	const over = maxDistEIGNodes + 1
+	if n <= 0 {
+		return 0
+	}
+	if n > maxDistEIGNodes/n {
+		return over
+	}
+	sq := n * n
+	total, width := 1, 1
+	for lv := 1; lv <= f+1 && lv <= n; lv++ {
+		width *= n - lv + 1
+		total += width
+		if total > maxDistEIGNodes/sq {
+			return over
+		}
+	}
+	return sq * total
 }
 
 // NewSession validates the configuration, runs the legislative service if

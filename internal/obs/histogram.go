@@ -67,62 +67,8 @@ func bucketIndex(ns uint64) int {
 	return idx
 }
 
-// bucketUpperNs is bucket i's inclusive upper bound in nanoseconds
-// (valid for the finite buckets 0..numBuckets-1... and used as the +Inf
-// slot's notional lower bound when i == numBuckets).
+// bucketUpperNs is finite bucket i's inclusive upper bound in
+// nanoseconds (the exposition's le label).
 func bucketUpperNs(i int) float64 {
 	return float64(uint64(1) << (minShift + i))
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) of the recorded samples
-// in nanoseconds, interpolating linearly inside the containing bucket.
-// The estimate is only as fine as the doubling buckets (≤2× error); it
-// exists so harnesses can report server-side p50/p99 without shipping
-// raw samples. Returns 0 when the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	var snap [numBuckets + 1]uint64
-	for i := range snap {
-		snap[i] = h.counts[i].Load()
-	}
-	return quantileOf(snap, q)
-}
-
-// quantileOf computes the interpolated quantile over one bucket-count
-// snapshot (shared by Histogram.Quantile and the registry's merged-series
-// quantile).
-func quantileOf(counts [numBuckets + 1]uint64, q float64) float64 {
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(total)
-	var cum float64
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		if cum+float64(c) >= target {
-			var lo float64
-			if i > 0 {
-				lo = bucketUpperNs(i - 1)
-			}
-			hi := bucketUpperNs(i) // for the +Inf slot: one more doubling
-			frac := (target - cum) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + frac*(hi-lo)
-		}
-		cum += float64(c)
-	}
-	return bucketUpperNs(numBuckets)
 }

@@ -63,23 +63,6 @@ func TestHistogramRecordAndRender(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantile checks the interpolated estimate stays inside
-// its sample's bucket (≤2× by construction).
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("gameauthority_q_seconds", "test.")
-	for i := 0; i < 100; i++ {
-		h.Record(10 * time.Microsecond)
-	}
-	p50 := h.Quantile(0.5)
-	if p50 < 8192 || p50 > 16384 { // 10µs lives in the (8.192µs, 16.384µs] bucket
-		t.Fatalf("p50 = %v ns, want within the 10µs bucket", p50)
-	}
-	if q := (&Histogram{}).Quantile(0.99); q != 0 {
-		t.Fatalf("empty quantile = %v, want 0", q)
-	}
-}
-
 // TestGetOrCreateIdentity pins the registry semantics: same name+labels
 // returns the same series; same name with different labels forks a new
 // series under one HELP/TYPE block.
@@ -270,24 +253,5 @@ func TestRuntimeGauges(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("runtime gauges missing %q", want)
 		}
-	}
-}
-
-// TestMergedQuantile checks HistogramQuantile merges all series of one
-// name.
-func TestMergedQuantile(t *testing.T) {
-	r := NewRegistry()
-	a := r.Histogram("gameauthority_m_seconds", "test.", Label{"driver", "pure"})
-	b := r.Histogram("gameauthority_m_seconds", "test.", Label{"driver", "rra"})
-	for i := 0; i < 50; i++ {
-		a.Record(2 * time.Microsecond)
-		b.Record(2 * time.Microsecond)
-	}
-	ns, count := r.HistogramQuantile("gameauthority_m_seconds", 0.5)
-	if count != 100 {
-		t.Fatalf("merged count = %d, want 100", count)
-	}
-	if ns < 1024 || ns > 4096 {
-		t.Fatalf("merged p50 = %v ns, want within the 2µs bucket", ns)
 	}
 }

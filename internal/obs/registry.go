@@ -131,29 +131,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	r.funcs[key] = &gaugeFunc{name: name, help: help, labels: labels, key: key, fn: fn}
 }
 
-// HistogramQuantile estimates the q-quantile in nanoseconds over ALL
-// series sharing a metric name (e.g. the four per-driver play-latency
-// histograms merged), plus the merged sample count. Harnesses use it to
-// report server-side percentiles next to their client-side numbers.
-func (r *Registry) HistogramQuantile(name string, q float64) (ns float64, count uint64) {
-	r.mu.Lock()
-	var hists []*Histogram
-	for _, h := range r.hists {
-		if h.name == name {
-			hists = append(hists, h)
-		}
-	}
-	r.mu.Unlock()
-	var merged [numBuckets + 1]uint64
-	for _, h := range hists {
-		for i := range merged {
-			merged[i] += h.counts[i].Load()
-		}
-		count += h.count.Load()
-	}
-	return quantileOf(merged, q), count
-}
-
 // WritePrometheus renders every registered series in Prometheus text
 // exposition format 0.0.4, grouped by metric name (one HELP/TYPE block
 // per name), names and series in sorted order for stable scrapes.

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -186,6 +188,41 @@ func TestServerHostsConcurrentSessions(t *testing.T) {
 	gone.Body.Close()
 	if gone.StatusCode != http.StatusNotFound {
 		t.Fatalf("deleted session still served: %d", gone.StatusCode)
+	}
+}
+
+// TestOversizedDistributedShapeRejected pins the agreement-state budget:
+// n=16/f=5 passes the request caps (n ≤ 64, n > 3f), but its EIG state
+// would take tens of gigabytes, so both entry points must refuse it with
+// ErrConfig before building anything, and quickly.
+func TestOversizedDistributedShapeRejected(t *testing.T) {
+	g, err := ga.PublicGoods(16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := ga.New(g, ga.WithDistributed(16, 5, nil)); !errors.Is(err, ga.ErrConfig) {
+		t.Fatalf("New(n=16, f=5) = %v, want ErrConfig", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("New took %v to reject the shape", d)
+	}
+
+	srv := httptest.NewServer(ga.NewServer(ga.NewAuthority()))
+	defer srv.Close()
+	start = time.Now()
+	resp, err := http.Post(srv.URL+"/sessions", "application/json", strings.NewReader(
+		`{"kind":"distributed","game":"publicgoods","players":16,"distributed":{"n":16,"f":5}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "agreement-state budget") {
+		t.Fatalf("POST /sessions n=16 f=5: %d %s, want 400 naming the budget", resp.StatusCode, body)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("POST /sessions took %v to reject the shape", d)
 	}
 }
 
